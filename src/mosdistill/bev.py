@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoFailure, ShapeMismatch
+from .errors import IndexOutOfRange, IoFailure, ShapeMismatch
 from .kitti_io import CLASS_UNLABELED, NUM_CLASSES, PointCloud
 
 AGGREGATES = ("max", "mean", "latest")
@@ -278,9 +278,13 @@ def cell_labels(
     if point_classes.shape[0] != cells.flat.shape[0]:
         raise ShapeMismatch("point classes and cell map disagree in length")
     h, w = grid.shape
-    counts = np.zeros((h * w, NUM_CLASSES), dtype=np.int64)
     mask = cells.assigned
-    np.add.at(counts, (cells.flat[mask], point_classes[mask]), 1)
+    cls = point_classes[mask]
+    if cls.size and (cls.min() < 0 or cls.max() >= NUM_CLASSES):
+        raise IndexOutOfRange(f"point class ids outside [0, {NUM_CLASSES})")
+    counts = np.bincount(
+        cells.flat[mask] * NUM_CLASSES + cls, minlength=h * w * NUM_CLASSES
+    ).reshape(h * w, NUM_CLASSES)
     # argmax over reversed class order = highest class id among tied maxima
     labels = (NUM_CLASSES - 1 - np.argmax(counts[:, ::-1], axis=1)).astype(np.uint8)
     valid = counts.sum(axis=1) > 0

@@ -55,7 +55,7 @@ class ConfigError(MosDistillError):
 
 
 class IndexOutOfRange(MosDistillError, IndexError):
-    """A frame or sequence index is outside the valid range."""
+    """A frame, sequence or class index is outside the valid range."""
 
 
 class NonFiniteLoss(MosDistillError):

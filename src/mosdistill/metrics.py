@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoFailure, LengthMismatch
+from .errors import IndexOutOfRange, IoFailure, LengthMismatch
 from .kitti_io import CLASS_NAMES, CLASS_UNLABELED, NUM_CLASSES
 
 DEFAULT_IGNORE = frozenset({CLASS_UNLABELED})
@@ -53,7 +53,11 @@ def accumulate(
         keep &= truth != c
     t = truth[keep].astype(np.int64)
     p = preds[keep].astype(np.int64)
-    np.add.at(cm.counts, (t, p), 1)
+    if t.size and (min(t.min(), p.min()) < 0 or max(t.max(), p.max()) >= NUM_CLASSES):
+        raise IndexOutOfRange(f"class ids outside [0, {NUM_CLASSES})")
+    cm.counts += np.bincount(
+        t * NUM_CLASSES + p, minlength=NUM_CLASSES * NUM_CLASSES
+    ).reshape(NUM_CLASSES, NUM_CLASSES)
     return cm
 
 

@@ -139,6 +139,11 @@ class DySample:
     regular base grid plus these offsets, clamped to the input's pixel
     center span.  Zero linear weights reproduce bilinear upsampling
     exactly, which is the initial state.
+
+    Backward scatters the sampling gradient with one ``np.bincount`` per
+    channel over the flat corner indices ``row * W + col``, corner-major
+    (00, 01, 10, 11), then in row-major output order.  Each input pixel
+    sums its terms in that fixed order, which keeps gradients bit-exact.
     """
 
     def __init__(self, c_in: int, scale: int = 2, offset_factor: float = 0.25) -> None:
@@ -183,42 +188,38 @@ class DySample:
         tx = fx - c0
         r1 = np.minimum(r0 + 1, h - 1)
         c1 = np.minimum(c0 + 1, w - 1)
-        v00 = x[:, r0, c0]
-        v01 = x[:, r0, c1]
-        v10 = x[:, r1, c0]
-        v11 = x[:, r1, c1]
-        top = v00 * (1.0 - tx) + v01 * tx
-        bot = v10 * (1.0 - tx) + v11 * tx
-        y = top * (1.0 - ty) + bot * ty
-        cache = (x, r0, r1, c0, c1, ty, tx, free_y, free_x)
-        return y, cache
+        idx = np.stack([r0 * w + c0, r0 * w + c1, r1 * w + c0, r1 * w + c1])
+        top, v01, bot, v11 = _corners(x, idx)
+        # (v00*(1-tx) + v01*tx)*(1-ty) + (v10*(1-tx) + v11*tx)*ty, in place
+        ux = 1.0 - tx
+        top *= ux
+        top += v01 * tx
+        bot *= ux
+        bot += v11 * tx
+        top *= 1.0 - ty
+        top += bot * ty
+        cache = (x, idx, ty, tx, free_y, free_x)
+        return top, cache
 
     def backward(self, gout: np.ndarray, cache: tuple) -> tuple[np.ndarray, dict]:
-        x, r0, r1, c0, c1, ty, tx, free_y, free_x = cache
-        c, _, w = x.shape
+        x, idx, ty, tx, free_y, free_x = cache
+        c, h, w = x.shape
         s = self.scale
 
-        w00 = (1.0 - ty) * (1.0 - tx)
-        w01 = (1.0 - ty) * tx
-        w10 = ty * (1.0 - tx)
-        w11 = ty * tx
-        gx = np.zeros_like(x)
-        flat = gx.reshape(c, -1)
-        idx00 = (r0 * w + c0).ravel()
-        idx01 = (r0 * w + c1).ravel()
-        idx10 = (r1 * w + c0).ravel()
-        idx11 = (r1 * w + c1).ravel()
-        for idx, wgt in ((idx00, w00), (idx01, w01), (idx10, w10), (idx11, w11)):
-            contrib = (gout * wgt).reshape(c, -1)
-            np.add.at(flat, (slice(None), idx), contrib)
+        uy = 1.0 - ty
+        ux = 1.0 - tx
+        wgt = np.stack([uy * ux, uy * tx, ty * ux, ty * tx])
+        keys = idx.ravel()
+        gx = np.empty_like(x)
+        for ch in range(c):
+            gx[ch] = np.bincount(
+                keys, (gout[ch] * wgt).ravel(), minlength=h * w
+            ).reshape(h, w)
 
-        v00 = x[:, r0, c0]
-        v01 = x[:, r0, c1]
-        v10 = x[:, r1, c0]
-        v11 = x[:, r1, c1]
+        v00, v01, v10, v11 = _corners(x, idx)
         # derivative of the bilinear value wrt the sampling position
-        dy = ((v10 - v00) * (1.0 - tx) + (v11 - v01) * tx)
-        dx = ((v01 - v00) * (1.0 - ty) + (v11 - v10) * ty)
+        dy = ((v10 - v00) * ux + (v11 - v01) * tx)
+        dx = ((v01 - v00) * uy + (v11 - v10) * ty)
         g_pos_y = (gout * dy).sum(axis=0) * free_y
         g_pos_x = (gout * dx).sum(axis=0) * free_x
 
@@ -228,6 +229,12 @@ class DySample:
         gb = g_raw.sum(axis=(1, 2))
         gx += np.tensordot(self.params["linear_w"].T, g_raw, axes=1)
         return gx, {"linear_w": gw, "linear_b": gb}
+
+
+def _corners(x: np.ndarray, idx: np.ndarray) -> list[np.ndarray]:
+    """The four (C, sH, sW) corner values at flat pixel indices idx[k]."""
+    flat = x.reshape(x.shape[0], -1)
+    return [np.take(flat, i, axis=1) for i in idx]
 
 
 def _pixel_shuffle(x: np.ndarray, s: int) -> np.ndarray:
@@ -375,15 +382,6 @@ class SgdState:
 
     def end_epoch(self) -> None:
         self.lr *= self.lr_decay
-
-
-def sgd_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: SgdState,
-) -> None:
-    """One in-place update: v <- m*v + g + wd*p; p <- p - lr*v."""
-    state.step(params, grads)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bev, geometry, losses, metrics, nnet, teacher
 from .config import RunConfig
-from .errors import ConfigError, NonFiniteLoss
+from .errors import ConfigError, EmptyFrame, NonFiniteLoss
 from .kitti_io import (
     ClassMap,
     PointCloud,
@@ -224,7 +224,8 @@ def train_student(
     """SGD training with the composed loss; deterministic per seed.
 
     Raises NonFiniteLoss (with the offending frame id) the moment a loss
-    stops being finite.
+    stops being finite, and EmptyFrame naming the frame that has no valid
+    cell.
     """
     if not train:
         raise ConfigError("no training samples")
@@ -249,14 +250,17 @@ def train_student(
             grads = {name: np.zeros_like(p) for name, p in params.items()}
             for sample in batch:
                 logits, caches = student_forward(net, sample)
-                result = losses.total_loss(
-                    logits,
-                    sample.teacher_logits,
-                    sample.labels,
-                    dcfg,
-                    class_weights,
-                    lovasz_classes,
-                )
+                try:
+                    result = losses.total_loss(
+                        logits,
+                        sample.teacher_logits,
+                        sample.labels,
+                        dcfg,
+                        class_weights,
+                        lovasz_classes,
+                    )
+                except EmptyFrame as exc:
+                    raise EmptyFrame(f"no valid cells in frame {sample.frame_id}") from exc
                 if not np.isfinite(result.value):
                     raise NonFiniteLoss(
                         f"non-finite loss at frame {sample.frame_id}",

@@ -59,33 +59,78 @@ def conv_oracle(x, weights, bias, stride, padding):
     return y
 
 
-def dysample_oracle(x, linear_w, linear_b, scale, offset_factor):
-    """Scalar per-output-pixel version of the dynamic upsampler."""
-    c, h, w = x.shape
+def _dysample_taps(x, linear_w, linear_b, scale, offset_factor):
+    """Per output pixel (i, j), in row-major order: the four bilinear taps
+    ((row, col, weight) for corners 00, 01, 10, 11), ty, tx, whether each
+    coordinate escaped the clamp, and the (row, col) offset channels and
+    input pixel the position came from."""
+    _, h, w = x.shape
     s = scale
-
-    def bilinear(ch, py, px):
-        py = min(max(py, 0.5), h - 0.5)
-        px = min(max(px, 0.5), w - 0.5)
-        fy, fx = py - 0.5, px - 0.5
-        r0 = int(min(max(np.floor(fy), 0), max(h - 2, 0)))
-        c0 = int(min(max(np.floor(fx), 0), max(w - 2, 0)))
-        ty, tx = fy - r0, fx - c0
-        r1, c1 = min(r0 + 1, h - 1), min(c0 + 1, w - 1)
-        top = x[ch, r0, c0] * (1 - tx) + x[ch, r0, c1] * tx
-        bot = x[ch, r1, c0] * (1 - tx) + x[ch, r1, c1] * tx
-        return top * (1 - ty) + bot * ty
-
-    y = np.zeros((c, h * s, w * s))
+    taps = {}
     for i in range(h * s):
         for j in range(w * s):
             hh, di = i // s, i % s
             ww, dj = j // s, j % s
             feat = x[:, hh, ww]
-            off_y = offset_factor * (linear_w[0 * s * s + di * s + dj] @ feat + linear_b[0 * s * s + di * s + dj])
-            off_x = offset_factor * (linear_w[1 * s * s + di * s + dj] @ feat + linear_b[1 * s * s + di * s + dj])
-            py = (i + 0.5) / s + off_y
-            px = (j + 0.5) / s + off_x
-            for ch in range(c):
-                y[ch, i, j] = bilinear(ch, py, px)
+            ky = di * s + dj
+            kx = s * s + ky
+            py = (i + 0.5) / s + offset_factor * (linear_w[ky] @ feat + linear_b[ky])
+            px = (j + 0.5) / s + offset_factor * (linear_w[kx] @ feat + linear_b[kx])
+            free_y, free_x = 0.5 < py < h - 0.5, 0.5 < px < w - 0.5
+            fy = min(max(py, 0.5), h - 0.5) - 0.5
+            fx = min(max(px, 0.5), w - 0.5) - 0.5
+            r0 = int(min(max(np.floor(fy), 0), max(h - 2, 0)))
+            c0 = int(min(max(np.floor(fx), 0), max(w - 2, 0)))
+            ty, tx = fy - r0, fx - c0
+            r1, c1 = min(r0 + 1, h - 1), min(c0 + 1, w - 1)
+            corners = (
+                (r0, c0, (1 - ty) * (1 - tx)),
+                (r0, c1, (1 - ty) * tx),
+                (r1, c0, ty * (1 - tx)),
+                (r1, c1, ty * tx),
+            )
+            taps[i, j] = (corners, ty, tx, free_y, free_x, ky, kx, hh, ww)
+    return taps
+
+
+def dysample_oracle(x, linear_w, linear_b, scale, offset_factor):
+    """Scalar per-output-pixel version of the dynamic upsampler."""
+    c, h, w = x.shape
+    y = np.zeros((c, h * scale, w * scale))
+    for (i, j), tap in _dysample_taps(x, linear_w, linear_b, scale, offset_factor).items():
+        ((r0, c0, _), (_, c1, _), (r1, _, _), _), ty, tx = tap[:3]
+        for ch in range(c):
+            top = x[ch, r0, c0] * (1 - tx) + x[ch, r0, c1] * tx
+            bot = x[ch, r1, c0] * (1 - tx) + x[ch, r1, c1] * tx
+            y[ch, i, j] = top * (1 - ty) + bot * ty
     return y
+
+
+def dysample_input_grad_oracle(x, linear_w, linear_b, scale, offset_factor, gout):
+    """Loop version of the dynamic upsampler's input gradient.
+
+    The sampling term is scattered corner-major (00, 01, 10, 11), then
+    pixel-major in row-major output order; the offset branch's term is
+    added after all four corners.
+    """
+    c, h, w = x.shape
+    taps = _dysample_taps(x, linear_w, linear_b, scale, offset_factor)
+    gx = np.zeros((c, h, w))
+    for k in range(4):
+        for (i, j), tap in taps.items():
+            r, col, wgt = tap[0][k]
+            for ch in range(c):
+                gx[ch, r, col] += gout[ch, i, j] * wgt
+    g_raw = np.zeros((2 * scale * scale, h, w))
+    for (i, j), tap in taps.items():
+        ((r0, c0, _), (_, c1, _), (r1, _, _), _), ty, tx, free_y, free_x, ky, kx, hh, ww = tap
+        for ch in range(c):
+            dy = (x[ch, r1, c0] - x[ch, r0, c0]) * (1 - tx) + (x[ch, r1, c1] - x[ch, r0, c1]) * tx
+            dx = (x[ch, r0, c1] - x[ch, r0, c0]) * (1 - ty) + (x[ch, r1, c1] - x[ch, r1, c0]) * ty
+            g_raw[ky, hh, ww] += offset_factor * gout[ch, i, j] * dy * free_y
+            g_raw[kx, hh, ww] += offset_factor * gout[ch, i, j] * dx * free_x
+    for ci in range(c):
+        for hh in range(h):
+            for ww in range(w):
+                gx[ci, hh, ww] += linear_w[:, ci] @ g_raw[:, hh, ww]
+    return gx

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mosdistill import bev
-from mosdistill.errors import ShapeMismatch
+from mosdistill.errors import IndexOutOfRange, ShapeMismatch
 from mosdistill.kitti_io import PointCloud
 from oracle_utils import height_oracle, project_oracle
 
@@ -225,6 +225,10 @@ class TestCellLabels:
 
     def test_tie_breaks_to_moving(self):
         assert self.label([3, 1]) == 3
+
+    def test_class_id_out_of_range_raises(self):
+        with pytest.raises(IndexOutOfRange):
+            self.label([1, 4])
 
     def test_empty_cell(self):
         grid = self.grid()

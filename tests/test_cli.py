@@ -159,6 +159,14 @@ class TestTrain:
         )
         assert code == 3
 
+    def test_empty_frame_named_exit_one(self, seq_dir, tmp_path, capsys):
+        # a 0-byte scan with its 0-byte label file is a valid, empty frame
+        (seq_dir / "velodyne" / "000004.bin").write_bytes(b"")
+        (seq_dir / "labels" / "000004.label").write_bytes(b"")
+        code, _, _ = self.train(seq_dir, tmp_path, "empty", ["--teacher", "synth"])
+        assert code == 1
+        assert "no valid cells in frame 4" in capsys.readouterr().err
+
     def test_missing_sequence_nonzero(self, tmp_path):
         code = main(
             [

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mosdistill import metrics
-from mosdistill.errors import LengthMismatch
+from mosdistill.errors import IndexOutOfRange, LengthMismatch
 from mosdistill.metrics import ConfusionMatrix, accumulate, iou
 
 class_ids = st.lists(st.integers(0, 3), min_size=0, max_size=40)
@@ -29,6 +29,13 @@ class TestAccumulate:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             accumulate(ConfusionMatrix(), [1, 2], [1])
+
+    @pytest.mark.parametrize("preds,truth", [([1, 4], [1, 1]), ([1, 1], [1, 4]), ([-1], [1])])
+    def test_class_id_out_of_range_raises(self, preds, truth):
+        cm = ConfusionMatrix()
+        with pytest.raises(IndexOutOfRange):
+            accumulate(cm, preds, truth)
+        assert cm.total() == 0
 
     @given(class_ids, class_ids, class_ids, class_ids)
     @settings(max_examples=40, deadline=None)

@@ -10,7 +10,7 @@ from mosdistill.verify import (
     grad_error,
     finite_difference,
 )
-from oracle_utils import conv_oracle, dysample_oracle
+from oracle_utils import conv_oracle, dysample_input_grad_oracle, dysample_oracle
 
 
 class TestConv2d:
@@ -88,6 +88,44 @@ class TestDySample:
     def test_backward_finite_difference(self, rng):
         for _ in range(3):
             assert check_dysample_grad(rng) < 1e-4
+
+    @pytest.mark.parametrize(
+        "shape,scale",
+        [((2, 3, 4), 2), ((3, 1, 4), 2), ((2, 3, 1), 3), ((1, 1, 1), 2), ((2, 2, 2), 3)],
+    )
+    def test_input_grad_equals_loop_oracle(self, rng, shape, scale):
+        # bias-only offsets, wide enough that some positions clamp; zero
+        # linear weights make the offset branch add exact zeros, so the bits
+        # of gx depend on the scatter order alone
+        c, h, w = shape
+        layer = nnet.DySample(c, scale=scale)
+        layer.params["linear_b"] = rng.normal(0.0, 4.0, size=2 * scale * scale)
+        x = rng.normal(size=shape)
+        _, _, _, free_y, free_x, _, _ = layer._positions(x)
+        assert not (free_y.all() and free_x.all())
+        gout = rng.normal(size=(c, h * scale, w * scale))
+        _, cache = layer.forward(x)
+        gx, _ = layer.backward(gout, cache)
+        ref = dysample_input_grad_oracle(
+            x, layer.params["linear_w"], layer.params["linear_b"], scale,
+            layer.offset_factor, gout,
+        )
+        np.testing.assert_array_equal(gx, ref)
+
+    def test_input_grad_matches_loop_oracle_per_pixel_offsets(self, rng):
+        layer = nnet.DySample(3, scale=2)
+        layer.params["linear_w"] = rng.normal(0.0, 2.0, size=(8, 3))
+        layer.params["linear_b"] = rng.normal(0.0, 2.0, size=8)
+        # a non-C-contiguous input must scatter into the returned gradient
+        x = np.asfortranarray(rng.normal(size=(3, 4, 5)))
+        gout = rng.normal(size=(3, 8, 10))
+        _, cache = layer.forward(x)
+        gx, _ = layer.backward(gout, cache)
+        ref = dysample_input_grad_oracle(
+            x, layer.params["linear_w"], layer.params["linear_b"], 2,
+            layer.offset_factor, gout,
+        )
+        np.testing.assert_allclose(gx, ref, rtol=1e-12, atol=1e-12)
 
     def test_zero_offset_input_grad_is_bilinear_transpose(self, rng):
         # with a dead offset branch the backward pass is exactly the
