@@ -18,7 +18,7 @@ from .bev import (
     motion_residuals,
     project_to_cells,
 )
-from .geometry import AlignedSequence, align_to_current, build_4d_sequence, transform_points
+from .geometry import AlignedSequence, align_to_current, transform_points
 from .kitti_io import (
     Calibration,
     ClassMap,
@@ -33,18 +33,13 @@ from .kitti_io import (
 )
 from .losses import (
     DistillConfig,
-    FrameClassWeights,
+    KdSplit,
     LogitGrid,
     LossResult,
-    dcd,
     frame_weights,
-    kd_kl,
+    kd_split,
     lovasz_softmax,
-    nckd,
-    nontarget_probs,
     softmax_probs,
-    target_split,
-    tckd,
     total_loss,
     wdcd_frame,
     weighted_cross_entropy,

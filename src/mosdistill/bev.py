@@ -66,39 +66,6 @@ class CellIndexMap:
     def assigned(self) -> np.ndarray:
         return self.flat >= 0
 
-    @property
-    def point_to_cell(self) -> np.ndarray:
-        """(N, 2) array of (u, v), -1 rows for unassigned points."""
-        _, w = self.shape
-        uv = np.full((self.flat.shape[0], 2), -1, dtype=np.int64)
-        mask = self.assigned
-        uv[mask, 0] = self.flat[mask] // w
-        uv[mask, 1] = self.flat[mask] % w
-        return uv
-
-    def cell_to_points(self) -> dict[tuple[int, int], np.ndarray]:
-        """Map (u, v) -> indices of the points assigned there."""
-        _, w = self.shape
-        mask = self.assigned
-        idx = np.nonzero(mask)[0]
-        order = np.argsort(self.flat[idx], kind="stable")
-        idx = idx[order]
-        cells = self.flat[idx]
-        out: dict[tuple[int, int], np.ndarray] = {}
-        for start, stop in zip(*_runs(cells)):
-            c = int(cells[start])
-            out[(c // w, c % w)] = idx[start:stop]
-        return out
-
-
-def _runs(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if sorted_vals.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    change = np.nonzero(np.diff(sorted_vals))[0] + 1
-    starts = np.concatenate(([0], change))
-    stops = np.concatenate((change, [sorted_vals.size]))
-    return starts, stops
-
 
 @dataclass(frozen=True)
 class HeightImage:

@@ -18,38 +18,12 @@ import numpy as np
 
 from . import bev, nnet, pipeline, teacher, verify
 from .config import RunConfig, documented_defaults
-from .errors import (
-    ConfigError,
-    FormatError,
-    IoFailure,
-    LabelCountMismatch,
-    LengthMismatch,
-    MalformedCalib,
-    MalformedLabel,
-    MalformedPoseLine,
-    MalformedScan,
-    MosDistillError,
-    NonFiniteLoss,
-    ShapeMismatch,
-)
+from .errors import ConfigError, MosDistillError, NonFiniteLoss
 from .metrics import write_metrics
 from .synthbench import export_kitti_sequence
 
 EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_PARSE = 2
-EXIT_NUMERIC = 3
-
-_PARSE_ERRORS = (
-    MalformedScan,
-    MalformedLabel,
-    LabelCountMismatch,
-    MalformedPoseLine,
-    MalformedCalib,
-    FormatError,
-    ShapeMismatch,
-    LengthMismatch,
-)
+EXIT_NUMERIC = NonFiniteLoss.exit_code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -337,18 +311,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except NonFiniteLoss as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ConfigError, IoFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except MosDistillError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -3,42 +3,52 @@
 Parsing and numeric failures never surface as bare asserts or panics;
 every malformed input maps to one of these classes so callers (and the
 CLI exit-code contract) can tell config, data, and numeric failures apart.
+Each class carries its CLI exit code: 1 config, usage or I/O, 2 malformed
+or mismatched data, 3 numeric failure.
 """
 
 
 class MosDistillError(Exception):
     """Base class for every error this package raises deliberately."""
 
+    exit_code = 1
+
+
+class DataError(MosDistillError):
+    """Input data is malformed or disagrees with its companions."""
+
+    exit_code = 2
+
 
 class IoFailure(MosDistillError):
     """A file could not be opened, read, or written."""
 
 
-class MalformedScan(MosDistillError):
+class MalformedScan(DataError):
     """Scan file size or contents violate the binary point layout."""
 
 
-class MalformedLabel(MosDistillError):
+class MalformedLabel(DataError):
     """Label file size is not a whole number of 32-bit records."""
 
 
-class LabelCountMismatch(MosDistillError):
+class LabelCountMismatch(DataError):
     """Label record count disagrees with the companion scan."""
 
 
-class MalformedPoseLine(MosDistillError):
+class MalformedPoseLine(DataError):
     """A pose line does not hold 12 finite floats."""
 
 
-class MalformedCalib(MosDistillError):
+class MalformedCalib(DataError):
     """Calibration file lacks a well-formed extrinsic line."""
 
 
-class ShapeMismatch(MosDistillError):
+class ShapeMismatch(DataError):
     """Array arguments disagree in shape where they must match."""
 
 
-class LengthMismatch(MosDistillError):
+class LengthMismatch(DataError):
     """Paired sequences disagree in length."""
 
 
@@ -46,7 +56,7 @@ class EmptyFrame(MosDistillError):
     """An operation requiring at least one valid cell got none."""
 
 
-class FormatError(MosDistillError):
+class FormatError(DataError):
     """A binary container has a bad magic, version, or size arithmetic."""
 
 
@@ -60,6 +70,8 @@ class IndexOutOfRange(MosDistillError, IndexError):
 
 class NonFiniteLoss(MosDistillError):
     """Training produced a NaN or infinite loss value."""
+
+    exit_code = 3
 
     def __init__(self, message: str, frame_id: int | None = None) -> None:
         super().__init__(message)

@@ -1,4 +1,4 @@
-"""Rigid transforms, alignment of past frames, and 4D point assembly.
+"""Rigid transforms and alignment of past frames into the current viewpoint.
 
 Point coordinates are carried in float64 once transformed so that
 round-trip and alignment tolerances hold regardless of the float32
@@ -79,20 +79,3 @@ def align_to_current(
             cloud = transform_points(frames[k], inv_current @ poses[k])
         aligned.append(AlignedFrame(cloud=cloud, time_step=current - k))
     return AlignedSequence(frames=aligned)
-
-
-def build_4d_sequence(seq: AlignedSequence) -> np.ndarray:
-    """Concatenate all frames into an (M, 4) array of (x, y, z, t).
-
-    The t column carries the integer time step of each point's frame.
-    Per-frame point order is preserved (stable concatenation).
-    """
-    if not seq.frames:
-        return np.empty((0, 4), dtype=np.float64)
-    chunks = []
-    for frame in seq.frames:
-        pts = np.empty((len(frame.cloud), 4), dtype=np.float64)
-        pts[:, :3] = frame.cloud.xyz
-        pts[:, 3] = frame.time_step
-        chunks.append(pts)
-    return np.concatenate(chunks, axis=0)

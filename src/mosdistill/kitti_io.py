@@ -146,13 +146,6 @@ class ClassMap:
         table[list(_MOVING_SEMANTIC_IDS)] = CLASS_MOVING
         return cls(table)
 
-    @classmethod
-    def from_overrides(cls, overrides: dict[int, int]) -> "ClassMap":
-        table = cls.default().table.copy()
-        for sem, c in overrides.items():
-            table[sem] = c
-        return cls(table)
-
 
 @dataclass(frozen=True)
 class Pose:

@@ -70,7 +70,6 @@ class DistillConfig:
     weight_floor: float | None = None
     prob_floor: float = 1e-12
     tckd_scope: str = "moving"
-    reduction: str = "mean_over_valid"
 
     def __post_init__(self) -> None:
         if self.temperature <= 0:
@@ -85,15 +84,6 @@ class DistillConfig:
             raise ValueError("prob_floor must be positive")
         if self.tckd_scope not in TCKD_SCOPES:
             raise ValueError(f"tckd_scope must be one of {TCKD_SCOPES}")
-        if self.reduction != "mean_over_valid":
-            raise ValueError("only mean_over_valid reduction is supported")
-
-
-@dataclass(frozen=True)
-class FrameClassWeights:
-    """Per-class share of valid cells in one frame, floored."""
-
-    w: np.ndarray  # (C,) float64
 
 
 @dataclass(frozen=True)
@@ -111,19 +101,6 @@ def softmax_probs(z: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def target_split(p: np.ndarray, t: int) -> tuple[float, float]:
-    """Binary split (p_t, 1 - p_t) of a probability vector."""
-    pt = float(p[t])
-    return pt, 1.0 - pt
-
-
-def nontarget_probs(z: np.ndarray, t: int, temperature: float = 1.0) -> np.ndarray:
-    """Softmax over the classes other than t (the target logit is excluded)."""
-    z = np.asarray(z, dtype=np.float64)
-    rest = np.delete(z, t, axis=-1)
-    return softmax_probs(rest, temperature)
-
-
 def _kl_terms(q: np.ndarray, p_floored: np.ndarray) -> np.ndarray:
     """q * log(q / p_floored) elementwise, with the q = 0 limit exactly 0."""
     logq = np.zeros_like(q)
@@ -131,71 +108,64 @@ def _kl_terms(q: np.ndarray, p_floored: np.ndarray) -> np.ndarray:
     return q * (logq - np.log(p_floored))
 
 
-def _kl(q: np.ndarray, p: np.ndarray, prob_floor: float) -> float:
-    """KL(q || p); only the second argument's log is floored."""
-    q = np.asarray(q, dtype=np.float64)
-    p = np.maximum(np.asarray(p, dtype=np.float64), prob_floor)
-    return float(_kl_terms(q, p).sum())
+def _masked_softmax(z_masked: np.ndarray) -> np.ndarray:
+    """Softmax where -inf entries get exactly zero probability."""
+    zmax = z_masked.max(axis=-1, keepdims=True)
+    e = np.exp(z_masked - zmax)
+    e[~np.isfinite(z_masked)] = 0.0
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def kd_kl(
-    z_teacher: np.ndarray,
-    z_student: np.ndarray,
-    temperature: float = 1.0,
-    prob_floor: float = 1e-12,
-) -> float:
-    """Plain knowledge distillation: KL between full softened distributions."""
-    return _kl(
-        softmax_probs(z_teacher, temperature),
-        softmax_probs(z_student, temperature),
-        prob_floor,
-    )
+@dataclass(frozen=True)
+class KdSplit:
+    """Per-cell terms of KD = TCKD + (1 - q_t) * NCKD for M cells.
 
-
-def tckd(
-    z_teacher: np.ndarray,
-    z_student: np.ndarray,
-    t: int,
-    temperature: float = 1.0,
-    prob_floor: float = 1e-12,
-) -> float:
-    """Binary KL over the (target, non-target) probability split."""
-    qt, qn = target_split(softmax_probs(z_teacher, temperature), t)
-    pt, pn = target_split(softmax_probs(z_student, temperature), t)
-    return _kl(np.array([qt, qn]), np.array([pt, pn]), prob_floor)
-
-
-def nckd(
-    z_teacher: np.ndarray,
-    z_student: np.ndarray,
-    t: int,
-    temperature: float = 1.0,
-    prob_floor: float = 1e-12,
-) -> float:
-    """KL over the renormalized non-target distributions."""
-    return _kl(
-        nontarget_probs(z_teacher, t, temperature),
-        nontarget_probs(z_student, t, temperature),
-        prob_floor,
-    )
-
-
-def dcd(
-    z_teacher: np.ndarray,
-    z_student: np.ndarray,
-    t: int,
-    cfg: DistillConfig,
-) -> float:
-    """Decoupled class distillation for one cell.
-
-    Moving-labeled cells get TCKD + beta * NCKD, every other label only
-    beta * NCKD (scope configurable via ``cfg.tckd_scope``).
+    Besides the two terms and the teacher's target probability, it keeps
+    the student probabilities the WDCD gradient reuses.  The non-target
+    distributions are zero in the target column.
     """
-    tau, floor = cfg.temperature, cfg.prob_floor
-    value = cfg.beta * nckd(z_teacher, z_student, t, tau, floor)
-    if _tckd_applies(np.array([t]), cfg)[0]:
-        value += tckd(z_teacher, z_student, t, tau, floor)
-    return value
+
+    tckd: np.ndarray    # (M,)
+    nckd: np.ndarray    # (M,)
+    q_t: np.ndarray     # (M,) teacher probability of the target class
+    p: np.ndarray       # (M, C) student softmax
+    p_t: np.ndarray     # (M,) student probability of the target class
+    q_hat: np.ndarray   # (M, C) teacher softmax over the non-target classes
+    p_hat: np.ndarray   # (M, C) student softmax over the non-target classes
+
+
+def kd_split(
+    zt: np.ndarray, zs: np.ndarray, t: np.ndarray, prob_floor: float
+) -> KdSplit:
+    """Decompose KD between temperature-scaled (M, C) teacher and student
+    logits with per-cell targets t.
+
+    TCKD is the binary KL over (target, rest); NCKD the KL over the
+    renormalized non-target distributions.  Only the student side of each
+    log is floored at ``prob_floor``.
+    """
+    rows = np.arange(t.shape[0])
+    q = softmax_probs(zt)            # teacher, full
+    p = softmax_probs(zs)            # student, full
+    qt = q[rows, t]
+    pt = p[rows, t]
+
+    # non-target renormalized distributions, computed with the target
+    # logit masked out
+    zt_masked = zt.copy()
+    zt_masked[rows, t] = -np.inf
+    zs_masked = zs.copy()
+    zs_masked[rows, t] = -np.inf
+    qh = _masked_softmax(zt_masked)
+    ph = _masked_softmax(zs_masked)
+
+    ph_f = np.maximum(ph, prob_floor)
+    nckd_cells = _kl_terms(qh, ph_f).sum(axis=1)
+
+    pt_f = np.maximum(pt, prob_floor)
+    pn_f = np.maximum(1.0 - pt, prob_floor)
+    tckd_cells = _kl_terms(qt, pt_f) + _kl_terms(1.0 - qt, pn_f)
+    return KdSplit(tckd_cells, nckd_cells, qt, p, pt, qh, ph)
 
 
 def _tckd_applies(t: np.ndarray, cfg: DistillConfig) -> np.ndarray:
@@ -206,15 +176,15 @@ def _tckd_applies(t: np.ndarray, cfg: DistillConfig) -> np.ndarray:
     return t == cfg.moving_class
 
 
-def frame_weights(labels: CellLabelGrid, cfg: DistillConfig) -> FrameClassWeights:
-    """Share of valid cells per class, floored at cfg.weight_floor."""
+def frame_weights(labels: CellLabelGrid, cfg: DistillConfig) -> np.ndarray:
+    """(C,) share of valid cells per class, floored at cfg.weight_floor."""
     valid = labels.valid
     total = int(valid.sum())
     if total == 0:
         raise EmptyFrame("no valid cells in frame")
     counts = np.bincount(labels.labels[valid].ravel(), minlength=NUM_CLASSES)
     floor = cfg.weight_floor if cfg.weight_floor is not None else 1.0 / total
-    return FrameClassWeights(w=np.maximum(counts / total, floor))
+    return np.maximum(counts / total, floor)
 
 
 def _check_pair(a: LogitGrid, b: LogitGrid | None, labels: CellLabelGrid) -> None:
@@ -252,59 +222,34 @@ def wdcd_frame(
     zs = z_student.scores[valid] / tau
     t = labels.labels[valid].astype(np.int64)
     rows = np.arange(m)
-
-    q = softmax_probs(zt)            # teacher, full
-    p = softmax_probs(zs)            # student, full
-    qt = q[rows, t]
-    pt = p[rows, t]
-
-    # non-target renormalized distributions, computed with the target
-    # logit masked out
-    zt_masked = zt.copy()
-    zt_masked[rows, t] = -np.inf
-    zs_masked = zs.copy()
-    zs_masked[rows, t] = -np.inf
-    qh = _masked_softmax(zt_masked)
-    ph = _masked_softmax(zs_masked)
-
-    floor = cfg.prob_floor
-    ph_f = np.maximum(ph, floor)
-    nckd_cells = _kl_terms(qh, ph_f).sum(axis=1)
-
-    pt_f = np.maximum(pt, floor)
-    pn_f = np.maximum(1.0 - pt, floor)
-    tckd_cells = _kl_terms(qt, pt_f) + _kl_terms(1.0 - qt, pn_f)
+    kd = kd_split(zt, zs, t, cfg.prob_floor)
     use_tckd = _tckd_applies(t, cfg)
 
-    dcd_cells = cfg.beta * nckd_cells + np.where(use_tckd, tckd_cells, 0.0)
-    w = frame_weights(labels, cfg).w
+    dcd_cells = cfg.beta * kd.nckd + np.where(use_tckd, kd.tckd, 0.0)
+    w = frame_weights(labels, cfg)
     cell_scale = 1.0 / w[t]
     scale = tau * tau
     value = float((dcd_cells * cell_scale).mean() * scale)
 
     # gradient, per valid cell, with respect to the raw student logits
+    floor = cfg.prob_floor
+    qt, pt, qh, ph = kd.q_t, kd.p_t, kd.q_hat, kd.p_hat
     # NCKD: d/dzs_j = (1/tau) (ph_j - qh_j) away from the prob floor
     live = ph > floor
     s = (qh * live).sum(axis=1, keepdims=True)
     g = (ph * s - qh * live) / tau * cfg.beta
     # TCKD depends on zs only through pt
+    pt_f = np.maximum(pt, floor)
+    pn_f = np.maximum(1.0 - pt, floor)
     dtckd_dpt = -qt / pt_f * (pt > floor) + (1.0 - qt) / pn_f * ((1.0 - pt) > floor)
     coef = np.where(use_tckd, dtckd_dpt, 0.0) * pt / tau
-    g -= coef[:, None] * p
+    g -= coef[:, None] * kd.p
     g[rows, t] += coef
     g *= (cell_scale * scale / m)[:, None]
 
     grad = np.zeros_like(z_student.scores)
     grad[valid] = g
     return LossResult(value=value, grad=grad)
-
-
-def _masked_softmax(z_masked: np.ndarray) -> np.ndarray:
-    """Softmax where -inf entries get exactly zero probability."""
-    zmax = z_masked.max(axis=-1, keepdims=True)
-    e = np.exp(z_masked - zmax)
-    e[~np.isfinite(z_masked)] = 0.0
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def weighted_cross_entropy(

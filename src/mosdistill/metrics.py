@@ -27,13 +27,6 @@ class ConfusionMatrix:
         default_factory=lambda: np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     )
 
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        self.counts += other.counts
-        return self
-
 
 def accumulate(
     cm: ConfusionMatrix,

@@ -302,10 +302,6 @@ class Network:
                 grads[f"{name}.{pname}"] = g
         return gout, grads
 
-    def predict_logits(self, x: np.ndarray) -> np.ndarray:
-        y, _ = self.forward(x)
-        return y
-
 
 def parse_descriptor(descriptor: str) -> tuple[str, int, int]:
     """Parse ``student:in=8,base=16`` / ``teacher:in=8,base=32``."""

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import bev, geometry, losses, metrics, nnet, teacher
 from .config import RunConfig
-from .errors import ConfigError, EmptyFrame, NonFiniteLoss
+from .errors import ConfigError, EmptyFrame, NonFiniteLoss, ShapeMismatch
 from .kitti_io import (
+    NUM_CLASSES,
     ClassMap,
     PointCloud,
     Pose,
@@ -155,11 +156,23 @@ def attach_synth_teacher(
 
 
 def attach_file_teacher(samples: list[FrameSample], logits_dir: str | Path) -> None:
+    """Read each sample's teacher grid; it must match the sample's label grid."""
     logits_dir = Path(logits_dir)
     for sample in samples:
-        sample.teacher_logits = teacher.read_logits(
-            logits_dir / teacher.logits_filename(sample.frame_id)
-        )
+        path = logits_dir / teacher.logits_filename(sample.frame_id)
+        grid = teacher.read_logits(path)
+        expected = (*sample.labels.labels.shape, NUM_CLASSES)
+        if grid.shape != expected:
+            raise ShapeMismatch(
+                f"{path}: teacher grid {grid.shape} does not match the label grid "
+                f"{expected} of frame {sample.frame_id}"
+            )
+        if not np.array_equal(grid.valid, sample.labels.valid):
+            raise ShapeMismatch(
+                f"{path}: teacher validity mask differs from the label grid "
+                f"of frame {sample.frame_id}"
+            )
+        sample.teacher_logits = grid
 
 
 def input_channels(cfg: RunConfig) -> int:

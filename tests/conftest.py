@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, as perfbench/run.py pins it: criterion 9 times a
+# single-threaded projection, and OpenBLAS threads on a small shared host
+# make its frame rate swing across the gate.  Set before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -134,3 +134,45 @@ def dysample_input_grad_oracle(x, linear_w, linear_b, scale, offset_factor, gout
             for ww in range(w):
                 gx[ci, hh, ww] += linear_w[:, ci] @ g_raw[:, hh, ww]
     return gx
+
+
+def _softmax(z):
+    e = [np.exp(v - max(z)) for v in z]
+    total = sum(e)
+    return [v / total for v in e]
+
+
+def _kl(q, p, prob_floor):
+    """KL(q || p) as a Python sum; only p is floored, q = 0 terms are 0."""
+    return sum(qi * np.log(qi / max(pi, prob_floor)) for qi, pi in zip(q, p) if qi > 0)
+
+
+def kd_kl(z_teacher, z_student, temperature=1.0, prob_floor=1e-12):
+    """KL between the full softened teacher and student distributions."""
+    q = _softmax([v / temperature for v in z_teacher])
+    p = _softmax([v / temperature for v in z_student])
+    return _kl(q, p, prob_floor)
+
+
+def tckd(z_teacher, z_student, t, temperature=1.0, prob_floor=1e-12):
+    """Binary KL over the (target, non-target) probability split."""
+    qt = _softmax([v / temperature for v in z_teacher])[t]
+    pt = _softmax([v / temperature for v in z_student])[t]
+    return _kl([qt, 1.0 - qt], [pt, 1.0 - pt], prob_floor)
+
+
+def nckd(z_teacher, z_student, t, temperature=1.0, prob_floor=1e-12):
+    """KL over the softmaxes of the logits with the target class deleted."""
+    rest_t = [v / temperature for k, v in enumerate(z_teacher) if k != t]
+    rest_s = [v / temperature for k, v in enumerate(z_student) if k != t]
+    return _kl(_softmax(rest_t), _softmax(rest_s), prob_floor)
+
+
+def dcd(z_teacher, z_student, t, cfg):
+    """Decoupled class distillation for one cell: beta * NCKD, plus TCKD
+    where cfg.tckd_scope applies it (the moving class, all, or none)."""
+    tau, floor = cfg.temperature, cfg.prob_floor
+    value = cfg.beta * nckd(z_teacher, z_student, t, tau, floor)
+    if cfg.tckd_scope == "all" or (cfg.tckd_scope == "moving" and t == cfg.moving_class):
+        value += tckd(z_teacher, z_student, t, tau, floor)
+    return value

@@ -24,6 +24,11 @@ def random_cloud(rng, n, r_spread=60.0):
     return cloud(xyz)
 
 
+def uv(cells, i):
+    """(u, v) cell of point i; only meaningful where cells.flat[i] >= 0."""
+    return divmod(int(cells.flat[i]), cells.shape[1])
+
+
 class TestProjectToCells:
     def test_out_of_radius(self):
         grid = bev.BevGrid(n_radial=50, n_angular=4)
@@ -39,7 +44,7 @@ class TestProjectToCells:
         # hand oracle: u = floor(1/50*50) = 1; angle 0 -> (0+pi)/2pi = 0.5 -> v = 2
         grid = bev.BevGrid(n_radial=50, n_angular=4, r_max=50.0)
         cells = bev.project_to_cells(cloud([[1.0, 0.0, 0.0]]), grid)
-        assert tuple(cells.point_to_cell[0]) == (1, 2)
+        assert uv(cells, 0) == (1, 2)
 
     def test_z_below_range(self):
         grid = bev.BevGrid()
@@ -57,7 +62,7 @@ class TestProjectToCells:
     def test_pi_edge_clamps_into_last_bin(self):
         grid = bev.BevGrid(n_radial=4, n_angular=8, r_max=10.0)
         cells = bev.project_to_cells(cloud([[-1.0, 0.0, 0.0]]), grid)  # atan2 = +pi
-        assert cells.point_to_cell[0, 1] == 7
+        assert uv(cells, 0)[1] == 7
 
     @pytest.mark.parametrize(
         "grid",
@@ -78,13 +83,10 @@ class TestProjectToCells:
         grid = bev.BevGrid(n_radial=8, n_angular=16, r_max=30.0)
         c = random_cloud(rng, 500)
         cells = bev.project_to_cells(c, grid)
-        by_cell = cells.cell_to_points()
-        total = sum(len(v) for v in by_cell.values())
-        assert total + int((~cells.assigned).sum()) == len(c)
-        # bijective consistency
-        for (u, v), idxs in by_cell.items():
-            for i in idxs:
-                assert tuple(cells.point_to_cell[i]) == (u, v)
+        # every point lands in exactly one cell of the grid or is marked -1
+        assert cells.flat.shape == (len(c),)
+        n_cells = grid.n_radial * grid.n_angular
+        assert ((cells.flat == -1) | (cells.assigned & (cells.flat < n_cells))).all()
 
     def test_cartesian_mode(self):
         grid = bev.BevGrid(mode="cartesian", n_radial=10, n_angular=10, r_max=5.0)
@@ -101,7 +103,7 @@ class TestHeightImage:
         c = cloud([[1, 0, -1.0], [1, 0, 0.5], [1, 0, 1.0]])
         grid = self.grid()
         img = bev.height_image(bev.project_to_cells(c, grid), c, grid)
-        u, v = bev.project_to_cells(c, grid).point_to_cell[0]
+        u, v = uv(bev.project_to_cells(c, grid), 0)
         assert img.values[u, v] == pytest.approx(2.0)
         assert img.occupancy[u, v]
 
@@ -163,8 +165,8 @@ class TestMotionResiduals:
         grid = bev.BevGrid(n_radial=4, n_angular=4, r_max=8.0)
         newer = cloud([[1.0, 0.0, -1.0], [1.0, 0.0, 1.0]])
         older = cloud([[5.0, 0.0, -1.0], [5.0, 0.0, 1.0]])
-        cell_a = tuple(bev.project_to_cells(newer, grid).point_to_cell[0])
-        cell_b = tuple(bev.project_to_cells(older, grid).point_to_cell[0])
+        cell_a = uv(bev.project_to_cells(newer, grid), 0)
+        cell_b = uv(bev.project_to_cells(older, grid), 0)
         img1 = bev.height_image(bev.project_to_cells(newer, grid), newer, grid)
         img2 = bev.height_image(bev.project_to_cells(older, grid), older, grid)
         mt = bev.motion_residuals([img1], [img2])
@@ -217,7 +219,7 @@ class TestCellLabels:
         grid = self.grid()
         cells = bev.project_to_cells(c, grid)
         lab = bev.cell_labels(cells, np.array(classes, dtype=np.uint8), grid)
-        u, v = cells.point_to_cell[0]
+        u, v = uv(cells, 0)
         return lab.labels[u, v]
 
     def test_majority(self):
@@ -263,8 +265,8 @@ class TestBackProject:
         preds = rng.integers(0, 4, size=grid.shape).astype(np.uint8)
         out = bev.back_project(preds, cells)
         for i in range(len(c)):
-            u, v = cells.point_to_cell[i]
-            expected = preds[u, v] if u >= 0 else 0
+            u, v = uv(cells, i)
+            expected = preds[u, v] if cells.flat[i] >= 0 else 0
             assert out[i] == expected
 
     def test_idempotent_under_reprojection(self, rng):

@@ -1,8 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from conftest import tiny_cli_args
-from mosdistill import nnet
+from mosdistill import cli, errors, nnet
 from mosdistill.cli import main
 from mosdistill.metrics import read_metrics
 
@@ -280,6 +282,35 @@ class TestExportLogits:
         )
         assert code == 0
 
+    def test_teacher_from_other_geometry_names_frame_and_file(
+        self, seq_dir, tmp_path, capsys
+    ):
+        teacher_ckpt = tmp_path / "teacher.ckpt"
+        nnet.save_checkpoint(teacher_ckpt, nnet.build_network("teacher:in=4,base=16"))
+        out = tmp_path / "logits40"
+        args = ["--ckpt", str(teacher_ckpt), "--seq", str(seq_dir), "--out", str(out)]
+        other_geometry = tiny_cli_args(["--set", "bev.n_angular=40"])
+        assert main(["export-logits", *args, *other_geometry]) == 0
+        capsys.readouterr()
+        code = main(
+            [
+                "train",
+                "--seq",
+                str(seq_dir),
+                "--out-ckpt",
+                str(tmp_path / "d.ckpt"),
+                "--teacher",
+                str(out),
+                "--epochs",
+                "1",
+                *tiny_cli_args(),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "frame 3" in err
+        assert str(out / "000003.logits") in err
+
     def test_missing_checkpoint_exit_one(self, seq_dir, tmp_path):
         code = main(
             [
@@ -351,3 +382,42 @@ class TestDeterminism:
             outs.append(tree_bytes(out))
         assert outs[0] == outs[1]
         assert outs[0] == outs[2]
+
+
+class TestExitCodes:
+    # the documented contract: 1 config or usage, 2 data parse, 3 numeric
+    EXPECTED = {
+        "MosDistillError": 1,
+        "ConfigError": 1,
+        "IoFailure": 1,
+        "EmptyFrame": 1,
+        "IndexOutOfRange": 1,
+        "DataError": 2,
+        "MalformedScan": 2,
+        "MalformedLabel": 2,
+        "LabelCountMismatch": 2,
+        "MalformedPoseLine": 2,
+        "MalformedCalib": 2,
+        "FormatError": 2,
+        "ShapeMismatch": 2,
+        "LengthMismatch": 2,
+        "NonFiniteLoss": 3,
+    }
+
+    def test_every_error_class_maps_to_its_exit_code(self, monkeypatch, capsys):
+        classes = {
+            name: obj
+            for name, obj in inspect.getmembers(errors, inspect.isclass)
+            if issubclass(obj, errors.MosDistillError)
+            and obj.__module__ == errors.__name__
+        }
+        # a class added to errors.py must be given its exit code here
+        assert set(classes) == set(self.EXPECTED)
+        for name, cls in classes.items():
+
+            def stub(_args, cls=cls):
+                raise cls(f"stub {cls.__name__}")
+
+            monkeypatch.setitem(cli._COMMANDS, "dump-config", stub)
+            assert main(["dump-config"]) == self.EXPECTED[name], name
+            assert f"error: stub {name}" in capsys.readouterr().err

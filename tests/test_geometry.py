@@ -111,38 +111,3 @@ class TestAlignToCurrent:
         frames = [cloud_from_xyz([[0, 0, 0]])]
         with pytest.raises(IndexOutOfRange):
             geometry.align_to_current(frames, [], 0)
-
-
-class TestBuild4d:
-    def test_two_single_point_frames(self):
-        frames = [cloud_from_xyz([[k, 0, 0]], frame_id=k) for k in range(2)]
-        seq = geometry.align_to_current(frames, [Pose.identity()] * 2, 1)
-        pts = geometry.build_4d_sequence(seq)
-        assert pts.shape == (2, 4)
-        assert pts[0, 3] == 0 and pts[1, 3] == 1
-
-    def test_empty(self):
-        assert geometry.build_4d_sequence(geometry.AlignedSequence(frames=[])).shape == (
-            0,
-            4,
-        )
-
-    def test_counts_per_time_step(self, rng):
-        sizes = [2, 3, 4]
-        frames = [
-            cloud_from_xyz(rng.normal(size=(n, 3)), frame_id=i)
-            for i, n in enumerate(reversed(sizes))
-        ]
-        seq = geometry.align_to_current(frames, [Pose.identity()] * 3, 2)
-        pts = geometry.build_4d_sequence(seq)
-        assert pts.shape == (9, 4)
-        counts = {t: int((pts[:, 3] == t).sum()) for t in (0, 1, 2)}
-        assert counts == {0: sizes[0], 1: sizes[1], 2: sizes[2]}
-
-    def test_order_stable_within_frames(self, rng):
-        xyz = rng.normal(size=(5, 3))
-        frames = [cloud_from_xyz(xyz, frame_id=0), cloud_from_xyz(xyz + 1, frame_id=1)]
-        seq = geometry.align_to_current(frames, [Pose.identity()] * 2, 1)
-        pts = geometry.build_4d_sequence(seq)
-        np.testing.assert_allclose(pts[:5, :3], xyz + 1)  # current frame first
-        np.testing.assert_allclose(pts[5:, :3], xyz)

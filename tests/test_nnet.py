@@ -165,22 +165,22 @@ class TestNetwork:
     def test_student_shapes(self, rng):
         net = nnet.build_network("student:in=4,base=8", seed=0)
         x = rng.normal(size=(4, 16, 36))
-        y = net.predict_logits(x)
+        y, _ = net.forward(x)
         assert y.shape == (4, 16, 36)
 
     def test_zero_weights_give_uniform_logits(self, rng):
         net = nnet.build_network("student:in=4,base=8", seed=0)
         for p in net.parameters().values():
             p[...] = 0.0
-        y = net.predict_logits(rng.normal(size=(4, 16, 36)))
+        y, _ = net.forward(rng.normal(size=(4, 16, 36)))
         assert (y == 0.0).all()  # softmax of zeros is uniform
 
     def test_deterministic_per_seed(self, rng):
         x = rng.normal(size=(4, 8, 8))
-        a = nnet.build_network("student:in=4,base=8", seed=7).predict_logits(x)
-        b = nnet.build_network("student:in=4,base=8", seed=7).predict_logits(x)
+        a, _ = nnet.build_network("student:in=4,base=8", seed=7).forward(x)
+        b, _ = nnet.build_network("student:in=4,base=8", seed=7).forward(x)
         np.testing.assert_array_equal(a, b)
-        c = nnet.build_network("student:in=4,base=8", seed=8).predict_logits(x)
+        c, _ = nnet.build_network("student:in=4,base=8", seed=8).forward(x)
         assert not np.array_equal(a, c)
 
     def test_student_smaller_than_teacher(self):
@@ -196,7 +196,7 @@ class TestNetwork:
         r = rng.normal(size=(4, 4, 4))
 
         def value():
-            return float((net.predict_logits(x) * r).sum())
+            return float((net.forward(x)[0] * r).sum())
 
         y, caches = net.forward(x)
         gx, pgrads = net.backward(r, caches)
