@@ -107,34 +107,57 @@ class CellLabelGrid:
 def project_to_cells(cloud: PointCloud, grid: BevGrid) -> CellIndexMap:
     """Assign each point a grid cell, or none if out of range.
 
-    Polar mode: u = floor(r / r_max * n_radial) with r = sqrt(x^2 + y^2),
+    Polar mode: u = floor(r / r_max * n_radial) with r = np.hypot(x, y),
     v = floor((atan2(y, x) + pi) / 2pi * n_angular) with the +pi edge
     clamped into the last sector.  Points with r >= r_max or z outside
     (z_min, z_max) stay unassigned.
+
+    r is computed as sqrt(x*x + y*y), which is within a few ulps of
+    np.hypot (about 1e-15 relative) and several times faster.  Where that
+    error could change a result, r is recomputed with np.hypot: where
+    r / r_max * n_radial lies within 1e-9 * (1 + n_radial) of an integer
+    (a ring edge; r_max is the last one) or is not finite (NaN or inf
+    coordinates, overflowing squares), and where r <= 1e-140, below which
+    the squares may be subnormal.  So u and the range test are exactly
+    those of np.hypot.
     """
-    xyz = cloud.xyz.astype(np.float64, copy=False)
-    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
+    xyz = np.asfortranarray(cloud.xyz, dtype=np.float64)  # contiguous columns
+    x, y, z = xyz.T
     h, w = grid.shape
-    if grid.mode == "polar":
-        r = np.hypot(x, y)
-        in_range = (r < grid.r_max) & (z > grid.z_min) & (z < grid.z_max)
-        u = np.floor(r / grid.r_max * grid.n_radial).astype(np.int64)
-        v = np.floor(
-            (np.arctan2(y, x) + np.pi) / (2.0 * np.pi) * grid.n_angular
-        ).astype(np.int64)
-        np.minimum(v, grid.n_angular - 1, out=v)
-    else:
-        in_range = (
-            (x > -grid.r_max)
-            & (x < grid.r_max)
-            & (y > -grid.r_max)
-            & (y < grid.r_max)
-            & (z > grid.z_min)
-            & (z < grid.z_max)
-        )
-        u = np.floor((x + grid.r_max) / (2.0 * grid.r_max) * h).astype(np.int64)
-        v = np.floor((y + grid.r_max) / (2.0 * grid.r_max) * w).astype(np.int64)
-    flat = np.where(in_range, u * w + v, -1)
+    # squares may overflow and NaN may reach the int casts; neither is kept
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if grid.mode == "polar":
+            r = x * x
+            f = y * y
+            r += f
+            np.sqrt(r, out=r)
+            np.divide(r, grid.r_max, out=f)
+            f *= grid.n_radial
+            u = np.floor(f)
+            f -= u
+            f -= 0.5
+            np.abs(f, out=f)  # 0.5 - distance to the nearest ring edge; NaN fails <=
+            fast = (f <= 0.5 - 1e-9 * (1 + grid.n_radial)) & (r > 1e-140)
+            redo = np.flatnonzero(~fast)
+            r[redo] = np.hypot(x[redo], y[redo])
+            u[redo] = np.floor(r[redo] / grid.r_max * grid.n_radial)
+            in_range = r < grid.r_max
+            a = np.arctan2(y, x, out=r)
+            a += np.pi
+            a /= 2.0 * np.pi
+            a *= grid.n_angular
+            u = u.astype(np.int64)
+            v = np.floor(a, out=a).astype(np.int64)
+            np.minimum(v, grid.n_angular - 1, out=v)
+        else:
+            in_range = (np.abs(x) < grid.r_max) & (np.abs(y) < grid.r_max)
+            u = np.floor((x + grid.r_max) / (2.0 * grid.r_max) * h).astype(np.int64)
+            v = np.floor((y + grid.r_max) / (2.0 * grid.r_max) * w).astype(np.int64)
+    in_range &= z > grid.z_min
+    in_range &= z < grid.z_max
+    u *= w
+    u += v
+    flat = np.where(in_range, u, -1)
     return CellIndexMap(shape=grid.shape, flat=flat)
 
 

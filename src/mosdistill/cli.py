@@ -178,8 +178,6 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     clouds, classes, poses = pipeline.load_sequence(args.seq)
     samples = pipeline.build_samples(clouds, classes, poses, cfg, threads=args.threads)
-    if not samples:
-        raise ConfigError("sequence too short for the configured window")
     train, heldout = pipeline.split_train_heldout(
         samples, cfg.get_float("train.val_fraction")
     )

@@ -44,14 +44,20 @@ class AlignedSequence:
 
 
 def transform_points(cloud: PointCloud, pose: Pose) -> PointCloud:
-    """Apply a rigid transform to every point (homogeneous multiply, w = 1)."""
+    """Apply a rigid transform to every point (homogeneous multiply, w = 1).
+
+    The result is (N, 4) float64 with intensity kept, stored column-major:
+    the transpose of one (4, N) buffer, so each coordinate column is
+    contiguous for the per-column ufuncs of the projection.
+    """
     r = pose.matrix[:3, :3]
     t = pose.matrix[:3, 3]
-    pts = cloud.points.astype(np.float64)  # contiguous copy, intensity kept
-    xyz = pts[:, :3] @ r.T
-    xyz += t
-    pts[:, :3] = xyz
-    return PointCloud(points=pts, frame_id=cloud.frame_id)
+    pts = cloud.points
+    buf = np.empty((4, len(cloud)))
+    np.matmul(r, pts[:, :3].T.astype(np.float64, copy=False), out=buf[:3])
+    buf[:3] += t[:, None]
+    buf[3] = pts[:, 3]
+    return PointCloud(points=buf.T, frame_id=cloud.frame_id)
 
 
 def align_to_current(

@@ -217,11 +217,22 @@ class DySample:
             ).reshape(h, w)
 
         v00, v01, v10, v11 = _corners(x, idx)
-        # derivative of the bilinear value wrt the sampling position
-        dy = ((v10 - v00) * ux + (v11 - v01) * tx)
-        dx = ((v01 - v00) * uy + (v11 - v10) * ty)
-        g_pos_y = (gout * dy).sum(axis=0) * free_y
-        g_pos_x = (gout * dx).sum(axis=0) * free_x
+        # derivative of the bilinear value wrt the sampling position, in place:
+        # dy = (v10 - v00)*(1-tx) + (v11 - v01)*tx, dx = (v01 - v00)*(1-ty) + (v11 - v10)*ty
+        dx = v01 - v00
+        dy = np.subtract(v10, v00, out=v00)
+        np.subtract(v11, v10, out=v10)
+        np.subtract(v11, v01, out=v11)
+        dy *= ux
+        v11 *= tx
+        dy += v11
+        dx *= uy
+        v10 *= ty
+        dx += v10
+        dy *= gout
+        dx *= gout
+        g_pos_y = dy.sum(axis=0) * free_y
+        g_pos_x = dx.sum(axis=0) * free_x
 
         g_offsets = np.stack([g_pos_y, g_pos_x])
         g_raw = self.offset_factor * _pixel_unshuffle(g_offsets, s)

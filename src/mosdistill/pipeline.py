@@ -124,6 +124,8 @@ def build_samples(
     grid = cfg.bev_grid()
     window, split = cfg.window()
     idxs = usable_frames(len(clouds), window)
+    if not idxs:
+        raise ConfigError(f"{len(clouds)} frames, too short for a window of {window}")
 
     def make(i: int) -> FrameSample:
         return build_sample(

@@ -14,7 +14,7 @@ def project_oracle(cloud, grid):
     for i in range(len(cloud)):
         x, y, z = (np.float64(v) for v in cloud.xyz[i])
         r = np.hypot(x, y)
-        if r >= grid.r_max or not (grid.z_min < z < grid.z_max):
+        if not (r < grid.r_max and grid.z_min < z < grid.z_max):  # NaN is out
             continue
         u = int(np.floor(r / grid.r_max * grid.n_radial))
         v = int(np.floor((np.arctan2(y, x) + np.pi) / (2.0 * np.pi) * grid.n_angular))

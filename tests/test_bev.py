@@ -95,6 +95,62 @@ class TestProjectToCells:
         assert cells.flat[1] == -1
 
 
+CRITERION_3_GRIDS = [
+    bev.BevGrid(n_radial=32, n_angular=360),
+    bev.BevGrid(n_radial=7, n_angular=13, r_max=25.0),
+    bev.BevGrid(n_radial=24, n_angular=120, z_min=-2.0, z_max=1.0),
+    bev.BevGrid(n_radial=1, n_angular=1, r_max=80.0),
+]
+
+
+class TestExactRadius:
+    """The radius is exactly np.hypot's wherever it decides a cell or the
+    range test: ring edges, r_max, and coordinates whose squares under- or
+    overflow."""
+
+    def check(self, xyz, grid):
+        c = cloud(xyz)
+        np.testing.assert_array_equal(
+            bev.project_to_cells(c, grid).flat, project_oracle(c, grid)
+        )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", CRITERION_3_GRIDS)
+    def test_ring_edges_within_ulps(self, grid, rng):
+        n = 3000
+        rad = rng.integers(1, grid.n_radial + 1, n) * grid.r_max / grid.n_radial
+        rad += rng.integers(-8, 9, n) * np.spacing(rad)
+        theta = rng.uniform(-np.pi, np.pi, n)
+        theta[::3] = rng.choice([0.0, 0.5, 1.0, -0.5], n // 3 + (n % 3 > 0)) * np.pi
+        xyz = np.column_stack([rad * np.cos(theta), rad * np.sin(theta), np.zeros(n)])
+        self.check(xyz, grid)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", CRITERION_3_GRIDS)
+    def test_exactly_r_max(self, grid):
+        r = grid.r_max
+        theta = np.linspace(-np.pi, np.pi, 41)
+        xyz = np.column_stack([r * np.cos(theta), r * np.sin(theta), np.zeros(41)])
+        self.check(np.vstack([xyz, [[r, 0, 0], [0, -r, 0], [-r, 0, 0]]]), grid)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", CRITERION_3_GRIDS)
+    def test_extreme_and_non_finite_coordinates(self, grid):
+        values = [0.0, 1.0, 1e-200, -1e-200, 1e200, -1e200, 3e-320, np.nan, np.inf, -np.inf]
+        x, y = np.meshgrid(values, values)
+        n = x.size
+        z = np.zeros(n)
+        z[::7] = np.nan
+        self.check(np.column_stack([x.ravel(), y.ravel(), z]), grid)
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_squares_on_tiny_grid(self, rng):
+        # x*x + y*y is subnormal here, so sqrt of it is off by up to ~1%
+        grid = bev.BevGrid(n_radial=64, n_angular=8, r_max=2e-161)
+        xy = rng.uniform(-2e-161, 2e-161, size=(2000, 2))
+        self.check(np.column_stack([xy, np.zeros(2000)]), grid)
+
+
 class TestHeightImage:
     def grid(self):
         return bev.BevGrid(n_radial=4, n_angular=4, r_max=8.0)

@@ -203,6 +203,16 @@ class TestEvalCmd:
         assert float(report["point_iou_moving"]) == 0.0
         assert float(report["cell_iou_moving"]) == 0.0
 
+    def test_window_longer_than_sequence_exits_one(self, seq_dir, tmp_path, zero_ckpt):
+        out = tmp_path / "metrics.txt"
+        args = tiny_cli_args(["--set", "bev.window=8"])  # the tiny scene has 7 frames
+        code = main(
+            ["eval", "--seq", str(seq_dir), "--ckpt", str(zero_ckpt),
+             "--metrics-out", str(out), *args]
+        )
+        assert code == 1
+        assert not out.exists()
+
     def test_metrics_file_round_trips(self, seq_dir, tmp_path, zero_ckpt):
         out = tmp_path / "metrics.txt"
         main(

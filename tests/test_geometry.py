@@ -73,6 +73,22 @@ class TestTransformPoints:
         np.fill_diagonal(rel, 0.0)
         assert rel.max() < 1e-9
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_equal_to_row_major_product(self, dtype, seed):
+        rng = np.random.default_rng(200 + seed)
+        n = [0, 1, 7, 4099][seed]
+        pts = rng.normal(scale=30.0, size=(n, 4)).astype(dtype)
+        pose = random_pose(rng)
+        out = geometry.transform_points(PointCloud(points=pts, frame_id=seed + 2), pose)
+        r, t = pose.matrix[:3, :3], pose.matrix[:3, 3]
+        expected = pts[:, :3].astype(np.float64) @ r.T + t
+        assert out.points.shape == (n, 4) and out.points.dtype == np.float64
+        assert out.points.flags.f_contiguous  # each coordinate column contiguous
+        assert out.frame_id == seed + 2
+        assert np.ascontiguousarray(out.xyz).tobytes() == expected.tobytes()
+        assert out.intensity.tobytes() == pts[:, 3].astype(np.float64).tobytes()
+
 
 class TestAlignToCurrent:
     def test_identity_poses(self):

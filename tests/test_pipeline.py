@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mosdistill import bev, metrics, nnet, pipeline
+from mosdistill import bev, geometry, metrics, nnet, pipeline
 from mosdistill.errors import ConfigError
+from mosdistill.kitti_io import PointCloud, Pose
 from mosdistill.synthbench import gen_sequence
+from oracle_utils import height_oracle, project_oracle
 
 
 @pytest.fixture
@@ -116,3 +120,91 @@ class TestTraining:
         net = nnet.build_network(pipeline.student_descriptor(tiny_config), seed=0)
         with pytest.raises(ValueError):
             pipeline.train_student(net, samples, [], tiny_config, epochs=1)
+
+
+DEGENERATE_GRID = bev.BevGrid(n_radial=4, n_angular=8, r_max=10.0, z_min=-2.0, z_max=2.0)
+FRAME_KINDS = ("normal", "empty", "single", "out_of_range", "nan_intensity", "nan_xyz")
+
+
+def degenerate_frame(kind, rng, dtype, frame_id):
+    """Points of one scan of the given kind, on DEGENERATE_GRID."""
+    n = {"empty": 0, "single": 1}.get(kind, 40)
+    xyz = np.column_stack(
+        [rng.uniform(-8.0, 8.0, (n, 2)), rng.uniform(-1.5, 1.5, n)]
+    )
+    intensity = rng.uniform(0.0, 1.0, n)
+    if kind == "out_of_range":
+        # half beyond r_max (some exactly on it), half outside the z range
+        on_edge = np.arange(n) % 4 == 0  # exactly r_max, on an axis
+        axis = rng.integers(-1, 3, n) * np.pi / 2
+        theta = np.where(on_edge, axis, rng.uniform(-np.pi, np.pi, n))
+        rad = np.where(on_edge, 10.0, rng.uniform(10.0, 30.0, n))
+        xyz[:, 0], xyz[:, 1] = rad * np.cos(theta), rad * np.sin(theta)
+        xyz[1::2, :2] /= 4.0
+        above = rng.uniform(2.5, 9.0, n // 2)
+        xyz[1::2, 2] = np.where(np.arange(1, n, 2) % 3 == 0, 2.0, above)  # 2.0 = z_max
+        xyz[1::4, 2] *= -1.0
+    elif kind == "nan_intensity":
+        intensity[::2] = np.nan
+    elif kind == "nan_xyz":
+        xyz[rng.integers(0, n, 10), rng.integers(0, 3, 10)] = np.nan
+    pts = np.column_stack([xyz, intensity]).astype(dtype)
+    return PointCloud(points=pts, frame_id=frame_id)
+
+
+class TestDegenerateWindows:
+    @pytest.mark.filterwarnings("error")
+    @given(
+        kinds=st.lists(st.sampled_from(FRAME_KINDS), min_size=2, max_size=5),
+        split=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        float32=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cells_heights_and_motion(self, kinds, split, seed, float32):
+        rng = np.random.default_rng(seed)
+        dtype = np.float32 if float32 else np.float64
+        window = len(kinds)
+        split = min(split, window - 1)
+        clouds = [degenerate_frame(k, rng, dtype, i) for i, k in enumerate(kinds)]
+        classes = [rng.integers(0, 4, len(c)) for c in clouds]
+        # the ego moves 0.1 m along x per frame
+        poses = [Pose.from_rt(np.eye(3), [0.1 * i, 0.0, 0.0]) for i in range(window)]
+        grid = DEGENERATE_GRID
+        sample = pipeline.build_sample(
+            clouds, classes, poses, window - 1, grid, window, split
+        )
+        current = clouds[-1]
+        np.testing.assert_array_equal(sample.cells.flat, project_oracle(current, grid))
+        values, occupancy = height_oracle(current, grid)
+        np.testing.assert_array_equal(sample.height.values, values)
+        np.testing.assert_array_equal(sample.height.occupancy, occupancy)
+        aligned = geometry.align_to_current(clouds, poses, window - 1)
+        for frame in aligned.frames:
+            np.testing.assert_array_equal(
+                bev.project_to_cells(frame.cloud, grid).flat,
+                project_oracle(frame.cloud, grid),
+            )
+            source = clouds[window - 1 - frame.time_step]
+            np.testing.assert_array_equal(frame.cloud.intensity, source.intensity)
+        assert sample.motion.channels.shape == (window, *grid.shape)
+        assert np.isfinite(sample.motion.channels).all()
+        if kinds[-1] in ("empty", "out_of_range"):
+            assert not sample.cells.assigned.any()
+            assert not sample.labels.valid.any()
+
+    @pytest.mark.parametrize("window", [3, 4, 9])
+    def test_window_longer_than_sequence(self, rng, window):
+        clouds = [degenerate_frame("normal", rng, np.float32, i) for i in range(2)]
+        classes = [np.zeros(len(c), dtype=np.int64) for c in clouds]
+        poses = [Pose.identity()] * 2
+        with pytest.raises(ConfigError):
+            pipeline.build_sample(
+                clouds, classes, poses, 1, DEGENERATE_GRID, window, 1
+            )
+
+    def test_samples_of_a_sequence_shorter_than_the_window(self, rng, tiny_config):
+        clouds = [degenerate_frame("normal", rng, np.float32, i) for i in range(3)]
+        classes = [np.zeros(len(c), dtype=np.int64) for c in clouds]
+        with pytest.raises(ConfigError, match="3 frames"):
+            pipeline.build_samples(clouds, classes, [Pose.identity()] * 3, tiny_config)
