@@ -121,7 +121,7 @@ class TestExactRadius:
         rad = rng.integers(1, grid.n_radial + 1, n) * grid.r_max / grid.n_radial
         rad += rng.integers(-8, 9, n) * np.spacing(rad)
         theta = rng.uniform(-np.pi, np.pi, n)
-        theta[::3] = rng.choice([0.0, 0.5, 1.0, -0.5], n // 3 + (n % 3 > 0)) * np.pi
+        theta[::3] = rng.choice([0.0, 0.5, 1.0, -0.5], theta[::3].size) * np.pi  # on the axes
         xyz = np.column_stack([rad * np.cos(theta), rad * np.sin(theta), np.zeros(n)])
         self.check(xyz, grid)
 
