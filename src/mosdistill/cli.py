@@ -158,6 +158,14 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
+def _load_labeled_sequence(args):
+    """``load_sequence`` for the commands that need per-point labels."""
+    labels = Path(args.seq) / "labels"
+    if not labels.is_dir():
+        raise ConfigError(f"{args.command} needs per-point labels: no directory {labels}")
+    return pipeline.load_sequence(args.seq)
+
+
 def _resolve_teacher(args, cfg: RunConfig, samples) -> RunConfig:
     if args.teacher == "none":
         cfg.set("distill.gamma", "0")
@@ -176,7 +184,7 @@ def _resolve_teacher(args, cfg: RunConfig, samples) -> RunConfig:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    clouds, classes, poses = pipeline.load_sequence(args.seq)
+    clouds, classes, poses = _load_labeled_sequence(args)
     samples = pipeline.build_samples(clouds, classes, poses, cfg, threads=args.threads)
     train, heldout = pipeline.split_train_heldout(
         samples, cfg.get_float("train.val_fraction")
@@ -203,7 +211,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     net = nnet.load_checkpoint(args.ckpt)
-    clouds, classes, poses = pipeline.load_sequence(args.seq)
+    clouds, classes, poses = _load_labeled_sequence(args)
     samples = pipeline.build_samples(clouds, classes, poses, cfg, threads=args.threads)
     report = pipeline.evaluate(net, samples, threads=args.threads)
     for key in sorted(report):
@@ -220,9 +228,12 @@ def cmd_export_logits(args) -> int:
     samples = pipeline.build_samples(clouds, classes, poses, cfg, threads=args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for sample in samples:
+
+    def export(sample: pipeline.FrameSample) -> None:
         grid = pipeline.predict_logits(net, sample)
         teacher.write_logits(grid, out / teacher.logits_filename(sample.frame_id))
+
+    pipeline.map_frames(export, samples, args.threads)
     print(f"exported {len(samples)} logit grids to {out}")
     return EXIT_OK
 

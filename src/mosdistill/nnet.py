@@ -176,9 +176,17 @@ class DySample:
         return raw, pos_y, pos_x, free_y, free_x, raw_y, raw_x
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Bilinear resampling of ``x`` at the offset positions.
+
+        Each output element is ``(v00*(1-tx) + v01*tx)*(1-ty) +
+        (v10*(1-tx) + v11*tx)*ty`` with its operations in exactly that
+        order, so the result is bit-exact against a per-pixel scalar loop.
+        The corners are gathered one at a time into three (C, sH, sW)
+        buffers: ``top``, ``bot`` and one scratch.
+        """
         if x.shape[0] != self.c_in:
             raise ShapeMismatch(f"expected {self.c_in} input channels, got {x.shape[0]}")
-        _, h, w = x.shape
+        c, h, w = x.shape
         _, pos_y, pos_x, free_y, free_x, _, _ = self._positions(x)
         fy = pos_y - 0.5
         fx = pos_x - 0.5
@@ -189,15 +197,23 @@ class DySample:
         r1 = np.minimum(r0 + 1, h - 1)
         c1 = np.minimum(c0 + 1, w - 1)
         idx = np.stack([r0 * w + c0, r0 * w + c1, r1 * w + c0, r1 * w + c1])
-        top, v01, bot, v11 = _corners(x, idx)
-        # (v00*(1-tx) + v01*tx)*(1-ty) + (v10*(1-tx) + v11*tx)*ty, in place
+        flat = x.reshape(c, -1)
         ux = 1.0 - tx
+        top = np.take(flat, idx[0], axis=1)
         top *= ux
-        top += v01 * tx
+        scratch = np.take(flat, idx[1], axis=1)
+        scratch *= tx
+        top += scratch
+        bot = np.take(flat, idx[2], axis=1)
         bot *= ux
-        bot += v11 * tx
+        # every index is in range: mode="clip" lets take write into scratch
+        # directly, where the default mode buffers a full-size copy
+        np.take(flat, idx[3], axis=1, out=scratch, mode="clip")
+        scratch *= tx
+        bot += scratch
         top *= 1.0 - ty
-        top += bot * ty
+        bot *= ty
+        top += bot
         cache = (x, idx, ty, tx, free_y, free_x)
         return top, cache
 
@@ -298,11 +314,20 @@ class Network:
     def num_parameters(self) -> int:
         return sum(a.size for a in self.parameters().values())
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
+    def forward(self, x: np.ndarray, train: bool = True) -> tuple[np.ndarray, list]:
+        """Run every layer in order; return the output and the layer caches.
+
+        ``train=True`` keeps each layer's cache for ``backward``.  With
+        ``train=False`` (inference) each cache is dropped as soon as its
+        layer returns and the cache list is empty, so a forward holds only
+        the live activations; the output is bit-identical either way.
+        """
         caches = []
         for _, layer in self.layers:
             x, cache = layer.forward(x)
-            caches.append(cache)
+            if train:
+                caches.append(cache)
+            del cache
         return x, caches
 
     def backward(self, gout: np.ndarray, caches: list) -> tuple[np.ndarray, dict]:

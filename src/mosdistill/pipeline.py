@@ -3,13 +3,14 @@
 A training sample is one temporal window ending at frame i: the window's
 frames are aligned into frame i's viewpoint, projected, pooled into the
 motion tensor, and paired with frame i's cell labels (and, when
-distilling, a teacher logit grid).  Projection of independent frames may
-run thread-parallel; results are collected in frame order so outputs are
-identical at any thread count.
+distilling, a teacher logit grid).  Independent frames (projection,
+inference) may run on a thread pool through ``map_frames``; results are
+collected in frame order so outputs are identical at any thread count.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,7 @@ from . import bev, geometry, losses, metrics, nnet, teacher
 from .config import RunConfig
 from .errors import ConfigError, EmptyFrame, NonFiniteLoss, ShapeMismatch
 from .kitti_io import (
+    CLASS_UNLABELED,
     NUM_CLASSES,
     ClassMap,
     PointCloud,
@@ -46,19 +48,27 @@ class FrameSample:
 def load_sequence(
     seq_dir: str | Path, class_map: ClassMap | None = None
 ) -> tuple[list[PointCloud], list[np.ndarray], list[Pose]]:
-    """Read every scan, its remapped classes, and LiDAR-frame poses."""
+    """Read every scan, its remapped classes, and LiDAR-frame poses.
+
+    A sequence without a ``labels/`` directory (the layout of the
+    SemanticKITTI test sequences) gives every point ``CLASS_UNLABELED``.
+    """
     seq_dir = Path(seq_dir)
     calib = read_calib(seq_dir / "calib.txt")
     poses = read_poses(seq_dir / "poses.txt", calib)
     scan_paths = sorted((seq_dir / "velodyne").glob("*.bin"))
+    labels_dir = seq_dir / "labels"
+    labeled = labels_dir.is_dir()
     clouds = []
     classes = []
     for path in scan_paths:
         cloud = read_scan(path)
-        label_path = seq_dir / "labels" / (path.stem + ".label")
-        labels = read_labels(label_path, len(cloud))
         clouds.append(cloud)
-        classes.append(remap_labels(labels, class_map))
+        if labeled:
+            labels = read_labels(labels_dir / (path.stem + ".label"), len(cloud))
+            classes.append(remap_labels(labels, class_map))
+        else:
+            classes.append(np.full(len(cloud), CLASS_UNLABELED, dtype=np.uint8))
     if len(poses) < len(clouds):
         raise ConfigError(
             f"{seq_dir}: {len(poses)} poses for {len(clouds)} scans"
@@ -114,6 +124,17 @@ def build_sample(
     )
 
 
+def map_frames(fn: Callable, items: Sequence, threads: int) -> list:
+    """``[fn(item) for item in items]``, on ``threads`` pool workers when
+    ``threads > 1``.  Results come back in item order; the first item (in
+    that order) whose call raised re-raises its exception, and items not
+    yet started are cancelled."""
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def build_samples(
     clouds: list[PointCloud],
     classes: list[np.ndarray],
@@ -141,10 +162,7 @@ def build_samples(
             cfg.get_bool("bev.appearance_channels"),
         )
 
-    if threads > 1 and len(idxs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(make, idxs))
-    return [make(i) for i in idxs]
+    return map_frames(make, idxs, threads)
 
 
 def attach_synth_teacher(
@@ -191,10 +209,14 @@ def teacher_descriptor(cfg: RunConfig) -> str:
 
 
 def student_forward(
-    net: nnet.Network, sample: FrameSample
+    net: nnet.Network, sample: FrameSample, train: bool = True
 ) -> tuple[losses.LogitGrid, list]:
-    """Run the network on one sample; validity follows the label grid."""
-    y, caches = net.forward(sample.motion.channels)
+    """Run the network on one sample; validity follows the label grid.
+
+    ``train`` is passed to ``Network.forward``: the caches come back only
+    when it is true.
+    """
+    y, caches = net.forward(sample.motion.channels, train=train)
     if not np.isfinite(y).all():
         raise NonFiniteLoss(
             f"non-finite logits at frame {sample.frame_id}", frame_id=sample.frame_id
@@ -206,7 +228,8 @@ def student_forward(
 
 
 def predict_logits(net: nnet.Network, sample: FrameSample) -> losses.LogitGrid:
-    grid, _ = student_forward(net, sample)
+    """Inference: one cache-free forward; safe to call from several threads."""
+    grid, _ = student_forward(net, sample, train=False)
     return grid
 
 
@@ -316,14 +339,9 @@ def evaluate(
     point_cm = metrics.ConfusionMatrix()
 
     def predict(sample: FrameSample) -> np.ndarray:
-        grid, _ = student_forward(net, sample)
-        return np.argmax(grid.scores, axis=2)
+        return np.argmax(predict_logits(net, sample).scores, axis=2)
 
-    if threads > 1 and len(samples) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            preds = list(pool.map(predict, samples))
-    else:
-        preds = [predict(s) for s in samples]
+    preds = map_frames(predict, samples, threads)
     for sample, cell_pred in zip(samples, preds):
         valid = sample.labels.valid
         metrics.accumulate(cell_cm, cell_pred[valid], sample.labels.labels[valid])

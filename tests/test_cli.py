@@ -1,10 +1,11 @@
 import inspect
+import shutil
 
 import numpy as np
 import pytest
 
 from conftest import tiny_cli_args
-from mosdistill import cli, errors, nnet
+from mosdistill import cli, errors, nnet, pipeline, teacher
 from mosdistill.cli import main
 from mosdistill.metrics import read_metrics
 
@@ -321,6 +322,48 @@ class TestExportLogits:
         assert "frame 3" in err
         assert str(out / "000003.logits") in err
 
+    def test_threads_byte_identical_and_equal_to_in_memory(
+        self, seq_dir, tmp_path, tiny_config
+    ):
+        teacher_ckpt = tmp_path / "teacher.ckpt"
+        nnet.save_checkpoint(teacher_ckpt, nnet.build_network("teacher:in=4,base=16", seed=3))
+        trees = []
+        for threads in (1, 2, 3):
+            out = tmp_path / f"logits{threads}"
+            code = main(
+                [
+                    "export-logits", "--ckpt", str(teacher_ckpt), "--seq", str(seq_dir),
+                    "--out", str(out), "--threads", str(threads), *tiny_cli_args(),
+                ]
+            )
+            assert code == 0
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1] == trees[2]
+        net = nnet.load_checkpoint(teacher_ckpt)
+        samples = pipeline.build_samples(*pipeline.load_sequence(seq_dir), tiny_config)
+        assert sorted(trees[0]) == [teacher.logits_filename(s.frame_id) for s in samples]
+        for sample in samples:
+            grid = pipeline.predict_logits(net, sample)
+            name = teacher.logits_filename(sample.frame_id)
+            exported = teacher.read_logits(tmp_path / "logits2" / name)
+            np.testing.assert_array_equal(exported.scores, grid.scores.astype(np.float32))
+            np.testing.assert_array_equal(exported.valid, grid.valid)
+
+    def test_non_finite_teacher_exits_three_naming_frame(self, seq_dir, tmp_path, capsys):
+        net = nnet.build_network("teacher:in=4,base=16", seed=3)
+        net.parameters()["head.b"][1] = np.nan
+        nan_ckpt = tmp_path / "nan.ckpt"
+        nnet.save_checkpoint(nan_ckpt, net)
+        code = main(
+            [
+                "export-logits", "--ckpt", str(nan_ckpt), "--seq", str(seq_dir),
+                "--out", str(tmp_path / "logits"), "--threads", "2", *tiny_cli_args(),
+            ]
+        )
+        assert code == 3
+        # every frame fails; the first in frame order is the one reported
+        assert "non-finite logits at frame 3" in capsys.readouterr().err
+
     def test_missing_checkpoint_exit_one(self, seq_dir, tmp_path):
         code = main(
             [
@@ -334,6 +377,55 @@ class TestExportLogits:
             ]
         )
         assert code == 1
+
+
+@pytest.fixture
+def unlabeled(seq_dir, tmp_path):
+    """A copy of seq_dir without labels/, the layout of the SemanticKITTI
+    test sequences."""
+    copy = tmp_path / "unlabeled" / "00"
+    shutil.copytree(seq_dir, copy)
+    shutil.rmtree(copy / "labels")
+    return copy
+
+
+class TestUnlabeledSequence:
+    def test_export_matches_the_labeled_bytes(self, seq_dir, unlabeled, tmp_path):
+        # the validity mask depends on occupancy alone
+        teacher_ckpt = tmp_path / "teacher.ckpt"
+        nnet.save_checkpoint(teacher_ckpt, nnet.build_network("teacher:in=4,base=16", seed=3))
+        trees = []
+        for name, seq in (("labeled", seq_dir), ("unlabeled", unlabeled)):
+            out = tmp_path / f"logits-{name}"
+            args = ["--ckpt", str(teacher_ckpt), "--seq", str(seq), "--out", str(out)]
+            assert main(["export-logits", *args, *tiny_cli_args()]) == 0
+            trees.append(tree_bytes(out))
+        assert trees[0] and trees[0] == trees[1]
+
+    def test_project_gives_unlabeled_cells(self, seq_dir, unlabeled, tmp_path):
+        outs = []
+        for name, seq in (("labeled", seq_dir), ("unlabeled", unlabeled)):
+            out = tmp_path / f"proj-{name}"
+            assert main(["project", "--seq", str(seq), "--out", str(out), *tiny_cli_args()]) == 0
+            outs.append(out)
+        for sub in ("motion", "cell_valid"):
+            assert tree_bytes(outs[0] / sub) == tree_bytes(outs[1] / sub)
+        for path in (outs[1] / "cell_labels").glob("*.npy"):
+            assert not np.load(path).any()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_train_and_eval_exit_one_naming_the_directory(
+        self, unlabeled, tmp_path, zero_ckpt, capsys, command
+    ):
+        if command == "train":
+            extra = ["--out-ckpt", str(tmp_path / "s.ckpt"), "--epochs", "1"]
+        else:
+            extra = ["--ckpt", str(zero_ckpt)]
+        code = main([command, "--seq", str(unlabeled), *extra, *tiny_cli_args()])
+        assert code == 1
+        assert f"{command} needs per-point labels: no directory {unlabeled / 'labels'}" in (
+            capsys.readouterr().err
+        )
 
 
 class TestVerifyCmd:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,8 @@ class TestDySample:
         ref = dysample_oracle(
             x, layer.params["linear_w"], layer.params["linear_b"], 2, layer.offset_factor
         )
-        np.testing.assert_allclose(y, ref, atol=1e-12)
+        # the in-place forward keeps the scalar formula's operation order
+        np.testing.assert_array_equal(y, ref)
 
     def test_backward_finite_difference(self, rng):
         for _ in range(3):
@@ -204,6 +207,30 @@ class TestNetwork:
         for name in ("head.w", "enc0.b", "up0.linear_w"):
             arr = net.parameters()[name]
             assert grad_error(pgrads[name], finite_difference(value, arr)) < 1e-4
+
+    def test_inference_forward_is_bit_equal_and_cache_free(self, rng):
+        net = nnet.build_network("teacher:in=4,base=8", seed=5)
+        x = rng.normal(size=(4, 16, 36))
+        y_train, caches = net.forward(x)
+        y_infer, no_caches = net.forward(x, train=False)
+        assert len(caches) == len(net.layers)
+        assert no_caches == []
+        np.testing.assert_array_equal(y_infer, y_train)
+
+    def test_inference_forward_peak_memory(self, rng):
+        # tracemalloc counts numpy's allocations exactly, so the ratio of
+        # the two peaks is a property of the code, not of the machine
+        net = nnet.build_network("teacher:in=8,base=32", seed=0)
+        x = rng.normal(size=(8, 16, 180))
+        peaks = {}
+        for train in (True, False):
+            tracemalloc.start()
+            try:
+                net.forward(x, train=train)
+                peaks[train] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[False] <= 0.7 * peaks[True]
 
     def test_bad_descriptor(self):
         with pytest.raises(FormatError):

@@ -1,3 +1,6 @@
+import shutil
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 
 from mosdistill import bev, geometry, metrics, nnet, pipeline
 from mosdistill.errors import ConfigError
-from mosdistill.kitti_io import PointCloud, Pose
+from mosdistill.kitti_io import CLASS_UNLABELED, PointCloud, Pose
 from mosdistill.synthbench import gen_sequence
 from oracle_utils import height_oracle, project_oracle
 
@@ -28,6 +31,40 @@ class TestLoadSequence:
             np.testing.assert_array_equal(a.points, b.points)
         for a, b in zip(classes, gen_classes):
             np.testing.assert_array_equal(a, b)
+
+
+    def test_missing_labels_directory_gives_unlabeled_points(self, seq_dir):
+        clouds, _, _ = pipeline.load_sequence(seq_dir)
+        shutil.rmtree(seq_dir / "labels")
+        bare_clouds, bare_classes, _ = pipeline.load_sequence(seq_dir)
+        assert len(bare_classes) == len(clouds)
+        for cloud, bare, classes in zip(clouds, bare_clouds, bare_classes):
+            np.testing.assert_array_equal(bare.points, cloud.points)
+            assert classes.dtype == np.uint8 and len(classes) == len(cloud)
+            assert (classes == CLASS_UNLABELED).all()
+
+
+class TestMapFrames:
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    def test_results_in_item_order(self, threads):
+        def slow_square(i):
+            time.sleep(0.01 * (5 - i))  # later items finish first on a pool
+            return i * i
+
+        assert pipeline.map_frames(slow_square, list(range(6)), threads) == [
+            i * i for i in range(6)
+        ]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_first_failing_item_in_order_raises(self, threads):
+        def fail_odd(i):
+            if i % 2:
+                time.sleep(0.05 if i == 1 else 0.0)  # item 3 fails first in time
+                raise ValueError(f"item {i}")
+            return i
+
+        with pytest.raises(ValueError, match="item 1"):
+            pipeline.map_frames(fail_odd, list(range(6)), threads)
 
 
 class TestBuildSamples:
