@@ -31,6 +31,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _count(text: str) -> int:
+    """argparse type of ``--threads`` and ``--frames``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="run configuration file (key=value lines)")
     p.add_argument(
@@ -40,7 +51,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="override one config key (repeatable)",
     )
-    p.add_argument("--threads", type=int, default=1, help="frame-level parallelism")
+    p.add_argument("--threads", type=_count, default=1, help="frame-level parallelism")
 
 
 def _load_config(args) -> RunConfig:
@@ -100,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="projection and inference throughput")
     _add_common(p)
     p.add_argument("--seq", required=True)
-    p.add_argument("--frames", type=int, default=20, help="timed frames (cycled)")
+    p.add_argument("--frames", type=_count, default=20, help="timed frames (cycled)")
     p.add_argument("--out", help="write the key=value report here")
 
     p = sub.add_parser("dump-config", help="print every config key with its default")

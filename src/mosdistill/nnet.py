@@ -4,6 +4,12 @@ No autograd: every layer implements forward and backward explicitly and is
 validated against central finite differences.  Tensors are plain numpy
 arrays shaped (C, H, W).
 
+Every forward computes in its input's dtype.  Parameters are held in
+float64 and cast to that dtype on each call (no copy when it is float64),
+so an in-place SGD update is seen by the next forward of either width.
+Training, its backward and the gradient checks run in float64; inference
+(``pipeline.predict_logits``) runs in float32.
+
 The decoder upsampling is a dynamic-sampling module: a per-pixel linear
 layer predicts bounded coordinate offsets which are pixel-shuffled to the
 output resolution and added to a regular base grid before bilinear
@@ -19,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, IoFailure, ShapeMismatch
+from .errors import FormatError, IoFailure, NonFiniteLoss, ShapeMismatch
 
 CKPT_MAGIC = b"KDCK"
 CKPT_VERSION = 1
@@ -63,8 +69,9 @@ class Conv2d:
         h, w = x.shape[1:]
         ho, wo = self.out_shape(h, w)
         xp = np.pad(x, ((0, 0), (p, p), (p, p)))
-        wt = self.params["w"]
-        y = np.broadcast_to(self.params["b"][:, None, None], (self.c_out, ho, wo)).copy()
+        wt = self.params["w"].astype(x.dtype, copy=False)
+        b = self.params["b"].astype(x.dtype, copy=False)
+        y = np.broadcast_to(b[:, None, None], (self.c_out, ho, wo)).copy()
         for di in range(k):
             for dj in range(k):
                 xs = xp[:, di : di + (ho - 1) * s + 1 : s, dj : dj + (wo - 1) * s + 1 : s]
@@ -161,12 +168,12 @@ class DySample:
         s = self.scale
         _, h, w = x.shape
         raw = (
-            np.tensordot(self.params["linear_w"], x, axes=1)
-            + self.params["linear_b"][:, None, None]
+            np.tensordot(self.params["linear_w"].astype(x.dtype, copy=False), x, axes=1)
+            + self.params["linear_b"].astype(x.dtype, copy=False)[:, None, None]
         )
         offsets = _pixel_shuffle(self.offset_factor * raw, s)  # (2, sH, sW)
-        base_y = ((np.arange(h * s) + 0.5) / s)[:, None]
-        base_x = ((np.arange(w * s) + 0.5) / s)[None, :]
+        base_y = ((np.arange(h * s, dtype=x.dtype) + 0.5) / s)[:, None]
+        base_x = ((np.arange(w * s, dtype=x.dtype) + 0.5) / s)[None, :]
         raw_y = base_y + offsets[0]
         raw_x = base_x + offsets[1]
         free_y = (raw_y > 0.5) & (raw_y < h - 0.5)
@@ -188,12 +195,17 @@ class DySample:
             raise ShapeMismatch(f"expected {self.c_in} input channels, got {x.shape[0]}")
         c, h, w = x.shape
         _, pos_y, pos_x, free_y, free_x, _, _ = self._positions(x)
+        if np.isnan(pos_y).any() or np.isnan(pos_x).any():
+            # a NaN position has no pixel to gather from
+            raise NonFiniteLoss("non-finite DySample sampling positions")
         fy = pos_y - 0.5
         fx = pos_x - 0.5
         r0 = np.clip(np.floor(fy), 0, max(h - 2, 0)).astype(np.int64)
         c0 = np.clip(np.floor(fx), 0, max(w - 2, 0)).astype(np.int64)
-        ty = fy - r0
-        tx = fx - c0
+        # subtract the corners in the input's dtype: int64 corners would
+        # promote the float32 interpolation weights to float64
+        ty = fy - r0.astype(fy.dtype)
+        tx = fx - c0.astype(fx.dtype)
         r1 = np.minimum(r0 + 1, h - 1)
         c1 = np.minimum(c0 + 1, w - 1)
         idx = np.stack([r0 * w + c0, r0 * w + c1, r1 * w + c0, r1 * w + c1])

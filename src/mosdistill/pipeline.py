@@ -213,14 +213,19 @@ def student_forward(
 ) -> tuple[losses.LogitGrid, list]:
     """Run the network on one sample; validity follows the label grid.
 
-    ``train`` is passed to ``Network.forward``: the caches come back only
-    when it is true.
+    ``train=True`` is the training forward: float64, with the layer caches
+    for ``backward``.  ``train=False`` is inference: the motion channels are
+    cast to float32 and the forward keeps no caches.  A non-finite
+    activation or logit raises NonFiniteLoss naming the frame.
     """
-    y, caches = net.forward(sample.motion.channels, train=train)
+    fid = sample.frame_id
+    x = sample.motion.channels if train else sample.motion.channels.astype(np.float32)
+    try:
+        y, caches = net.forward(x, train=train)
+    except NonFiniteLoss as exc:
+        raise NonFiniteLoss(f"non-finite activations at frame {fid}: {exc}", frame_id=fid) from exc
     if not np.isfinite(y).all():
-        raise NonFiniteLoss(
-            f"non-finite logits at frame {sample.frame_id}", frame_id=sample.frame_id
-        )
+        raise NonFiniteLoss(f"non-finite logits at frame {fid}", frame_id=fid)
     grid = losses.LogitGrid(
         scores=np.transpose(y, (1, 2, 0)), valid=sample.labels.valid.copy()
     )
@@ -228,7 +233,9 @@ def student_forward(
 
 
 def predict_logits(net: nnet.Network, sample: FrameSample) -> losses.LogitGrid:
-    """Inference: one cache-free forward; safe to call from several threads."""
+    """Inference: one cache-free float32 forward; safe to call from several
+    threads.  The float32 scores upcast exactly into the float64 grid, so a
+    ``.logits`` file stores them unchanged."""
     grid, _ = student_forward(net, sample, train=False)
     return grid
 

@@ -1,5 +1,10 @@
+import ast
 import inspect
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,9 @@ from conftest import tiny_cli_args
 from mosdistill import cli, errors, nnet, pipeline, teacher
 from mosdistill.cli import main
 from mosdistill.metrics import read_metrics
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def tree_bytes(root):
@@ -364,6 +372,35 @@ class TestExportLogits:
         # every frame fails; the first in frame order is the one reported
         assert "non-finite logits at frame 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_nan_activations_exit_three_naming_frame(self, seq_dir, tmp_path, capsys, threads):
+        # a NaN bias reaches the upsamplers' sampling positions before the logits
+        net = nnet.build_network("teacher:in=4,base=16", seed=3)
+        net.parameters()["enc0.b"][0] = np.nan
+        nan_ckpt = tmp_path / "nan.ckpt"
+        nnet.save_checkpoint(nan_ckpt, net)
+        code = main(
+            [
+                "export-logits", "--ckpt", str(nan_ckpt), "--seq", str(seq_dir),
+                "--out", str(tmp_path / "logits"), "--threads", str(threads),
+                *tiny_cli_args(),
+            ]
+        )
+        assert code == 3
+        assert "non-finite activations at frame 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_one(self, seq_dir, tmp_path, zero_ckpt, capsys, threads):
+        code = main(
+            [
+                "export-logits", "--ckpt", str(zero_ckpt), "--seq", str(seq_dir),
+                "--out", str(tmp_path / "logits"), "--threads", threads, *tiny_cli_args(),
+            ]
+        )
+        assert code == 1
+        assert "argument --threads" in capsys.readouterr().err
+        assert not (tmp_path / "logits").exists()
+
     def test_missing_checkpoint_exit_one(self, seq_dir, tmp_path):
         code = main(
             [
@@ -462,6 +499,33 @@ class TestBench:
         assert float(report["projection_ms_p99"]) >= float(
             report["projection_ms_median"]
         )
+
+
+    def test_zero_frames_exit_one(self, seq_dir, capsys):
+        code = main(["bench", "--seq", str(seq_dir), "--frames", "0", *tiny_cli_args()])
+        assert code == 1
+        assert "argument --frames" in capsys.readouterr().err
+
+
+class TestBlasPin:
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def imported_values(self, **env_extra):
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        env.update(env_extra)
+        code = f"import os, mosdistill; print([os.environ.get(v) for v in {self.VARS!r}])"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        return ast.literal_eval(out.stdout.strip())
+
+    def test_import_pins_one_thread(self):
+        assert self.imported_values() == ["1", "1", "1"]
+
+    def test_a_value_the_user_set_wins(self):
+        assert self.imported_values(OPENBLAS_NUM_THREADS="3") == ["3", "1", "1"]
 
 
 class TestDeterminism:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mosdistill import nnet
-from mosdistill.errors import FormatError, ShapeMismatch
+from mosdistill.errors import FormatError, NonFiniteLoss, ShapeMismatch
 from mosdistill.verify import (
     check_conv_grad,
     check_dysample_grad,
@@ -235,6 +235,70 @@ class TestNetwork:
     def test_bad_descriptor(self):
         with pytest.raises(FormatError):
             nnet.build_network("resnet:in=8")
+
+
+def _dysample_with_offsets(rng, c=3, scale=2):
+    layer = nnet.DySample(c, scale=scale)
+    layer.params["linear_w"] = rng.normal(0.0, 0.5, size=(2 * scale * scale, c))
+    layer.params["linear_b"] = rng.normal(0.0, 0.5, size=2 * scale * scale)
+    return layer
+
+
+class TestFloat32Forward:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: nnet.Conv2d(3, 4, kernel=3, stride=1, rng=rng),
+            lambda rng: nnet.Conv2d(3, 4, kernel=3, stride=2, rng=rng),
+            lambda rng: nnet.Conv2d(3, 4, kernel=1, rng=rng),
+            lambda rng: nnet.ReLU(),
+            _dysample_with_offsets,
+        ],
+        ids=["conv3", "conv3s2", "conv1", "relu", "dysample"],
+    )
+    def test_layer_follows_input_dtype(self, rng, make):
+        layer = make(rng)
+        x = rng.normal(size=(3, 6, 8))
+        y64, _ = layer.forward(x)
+        y32, _ = layer.forward(x.astype(np.float32))
+        assert y64.dtype == np.float64
+        assert y32.dtype == np.float32
+        np.testing.assert_allclose(y32, y64, rtol=0, atol=1e-5)
+        for p in layer.params.values():
+            assert p.dtype == np.float64
+
+    def test_teacher_forward_is_float32(self, rng):
+        net = nnet.build_network("teacher:in=4,base=8", seed=5)
+        for name, p in net.parameters().items():
+            if name.endswith("linear_w"):  # nonzero offsets in both upsamplers
+                p[...] = rng.normal(0.0, 0.1, size=p.shape)
+        x = rng.normal(size=(4, 16, 36))
+        y64, _ = net.forward(x, train=False)
+        y32, _ = net.forward(x.astype(np.float32), train=False)
+        assert y32.dtype == np.float32
+        np.testing.assert_allclose(y32, y64, rtol=0, atol=1e-5)
+
+    def test_float32_peak_memory(self, rng):
+        # the float32 forward's activations are half as wide
+        net = nnet.build_network("teacher:in=8,base=32", seed=0)
+        x64 = rng.normal(size=(8, 16, 180))
+        x32 = x64.astype(np.float32)
+        peaks = {}
+        for x in (x64, x32):
+            tracemalloc.start()
+            try:
+                net.forward(x, train=False)
+                peaks[x.dtype] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[np.dtype(np.float32)] <= 0.6 * peaks[np.dtype(np.float64)]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_nan_sampling_position_raises(self, rng, dtype):
+        layer = _dysample_with_offsets(rng)
+        layer.params["linear_b"][0] = np.nan
+        with pytest.raises(NonFiniteLoss, match="sampling positions"):
+            layer.forward(rng.normal(size=(3, 4, 4)).astype(dtype))
 
 
 class TestSgd:

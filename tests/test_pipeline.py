@@ -140,6 +140,39 @@ class TestEvaluate:
         assert pipeline.teacher_descriptor(tiny_config) == "teacher:in=4,base=16"
 
 
+class TestPredictLogits:
+    def test_float32_within_1e5_of_float64_with_equal_argmax(self, loaded, tiny_config):
+        samples = pipeline.build_samples(*loaded, tiny_config)
+        pipeline.attach_synth_teacher(samples, 10.0, 0.5, seed=0)
+        net = nnet.build_network(pipeline.student_descriptor(tiny_config), seed=0)
+        pipeline.train_student(net, samples, [], tiny_config, epochs=2)
+        assert net.parameters()["up1.linear_w"].any()  # the offsets are live
+        for sample in samples:
+            grid = pipeline.predict_logits(net, sample)
+            y64, _ = net.forward(sample.motion.channels, train=False)
+            ref = np.transpose(y64, (1, 2, 0))
+            assert grid.scores.dtype == np.float64
+            np.testing.assert_array_equal(grid.scores, grid.scores.astype(np.float32))
+            np.testing.assert_allclose(grid.scores, ref, rtol=0, atol=1e-5)
+            valid = grid.valid
+            np.testing.assert_array_equal(
+                grid.scores[valid].argmax(axis=1), ref[valid].argmax(axis=1)
+            )
+
+    def test_sees_an_in_place_parameter_update(self, loaded, tiny_config, rng):
+        sample = pipeline.build_samples(*loaded, tiny_config)[0]
+        net = nnet.build_network(pipeline.student_descriptor(tiny_config), seed=0)
+        before = pipeline.predict_logits(net, sample)
+        params = net.parameters()
+        grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+        nnet.SgdState(lr=0.01).step(params, grads)
+        after = pipeline.predict_logits(net, sample)
+        fresh = nnet.build_network(net.descriptor)
+        fresh.load_parameters(params)
+        np.testing.assert_array_equal(after.scores, pipeline.predict_logits(fresh, sample).scores)
+        assert not np.array_equal(after.scores, before.scores)
+
+
 class TestTraining:
     def test_loss_decreases(self, loaded, tiny_config):
         clouds, classes, poses = loaded
