@@ -1,7 +1,7 @@
 """Polar bird's-eye-view projection and residual motion features.
 
-A scan is binned into an H x W grid (H radial rings, W angular sectors by
-default).  Per temporal window, each occupied cell carries the span
+A scan is binned into an H x W polar grid (H radial rings, W angular
+sectors).  Per temporal window, each occupied cell carries the span
 max z - min z of its in-range points; the residual between the two window
 images is replicated into the motion channels with opposite signs, so a
 cell occupied in exactly one window lights up positively on that window's
@@ -18,18 +18,11 @@ import numpy as np
 from .errors import IndexOutOfRange, IoFailure, ShapeMismatch
 from .kitti_io import CLASS_UNLABELED, NUM_CLASSES, PointCloud
 
-AGGREGATES = ("max", "mean", "latest")
-
 
 @dataclass(frozen=True)
 class BevGrid:
-    """Grid geometry for the projection.
+    """Polar grid geometry; the z range is exclusive on both ends."""
 
-    ``n_radial`` / ``n_angular`` double as n_x / n_y in cartesian mode.
-    The z range is exclusive on both ends.
-    """
-
-    mode: str = "polar"
     n_radial: int = 32
     n_angular: int = 360
     r_max: float = 50.0
@@ -37,8 +30,6 @@ class BevGrid:
     z_max: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("polar", "cartesian"):
-            raise ValueError(f"unknown grid mode {self.mode!r}")
         if self.n_radial < 1 or self.n_angular < 1:
             raise ValueError("grid dimensions must be >= 1")
         if self.r_max <= 0:
@@ -107,7 +98,7 @@ class CellLabelGrid:
 def project_to_cells(cloud: PointCloud, grid: BevGrid) -> CellIndexMap:
     """Assign each point a grid cell, or none if out of range.
 
-    Polar mode: u = floor(r / r_max * n_radial) with r = np.hypot(x, y),
+    u = floor(r / r_max * n_radial) with r = np.hypot(x, y),
     v = floor((atan2(y, x) + pi) / 2pi * n_angular) with the +pi edge
     clamped into the last sector.  Points with r >= r_max or z outside
     (z_min, z_max) stay unassigned.
@@ -123,39 +114,33 @@ def project_to_cells(cloud: PointCloud, grid: BevGrid) -> CellIndexMap:
     """
     xyz = np.asfortranarray(cloud.xyz, dtype=np.float64)  # contiguous columns
     x, y, z = xyz.T
-    h, w = grid.shape
     # squares may overflow and NaN may reach the int casts; neither is kept
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        if grid.mode == "polar":
-            r = x * x
-            f = y * y
-            r += f
-            np.sqrt(r, out=r)
-            np.divide(r, grid.r_max, out=f)
-            f *= grid.n_radial
-            u = np.floor(f)
-            f -= u
-            f -= 0.5
-            np.abs(f, out=f)  # 0.5 - distance to the nearest ring edge; NaN fails <=
-            fast = (f <= 0.5 - 1e-9 * (1 + grid.n_radial)) & (r > 1e-140)
-            redo = np.flatnonzero(~fast)
-            r[redo] = np.hypot(x[redo], y[redo])
-            u[redo] = np.floor(r[redo] / grid.r_max * grid.n_radial)
-            in_range = r < grid.r_max
-            a = np.arctan2(y, x, out=r)
-            a += np.pi
-            a /= 2.0 * np.pi
-            a *= grid.n_angular
-            u = u.astype(np.int64)
-            v = np.floor(a, out=a).astype(np.int64)
-            np.minimum(v, grid.n_angular - 1, out=v)
-        else:
-            in_range = (np.abs(x) < grid.r_max) & (np.abs(y) < grid.r_max)
-            u = np.floor((x + grid.r_max) / (2.0 * grid.r_max) * h).astype(np.int64)
-            v = np.floor((y + grid.r_max) / (2.0 * grid.r_max) * w).astype(np.int64)
+        r = x * x
+        f = y * y
+        r += f
+        np.sqrt(r, out=r)
+        np.divide(r, grid.r_max, out=f)
+        f *= grid.n_radial
+        u = np.floor(f)
+        f -= u
+        f -= 0.5
+        np.abs(f, out=f)  # 0.5 - distance to the nearest ring edge; NaN fails <=
+        fast = (f <= 0.5 - 1e-9 * (1 + grid.n_radial)) & (r > 1e-140)
+        redo = np.flatnonzero(~fast)
+        r[redo] = np.hypot(x[redo], y[redo])
+        u[redo] = np.floor(r[redo] / grid.r_max * grid.n_radial)
+        in_range = r < grid.r_max
+        a = np.arctan2(y, x, out=r)
+        a += np.pi
+        a /= 2.0 * np.pi
+        a *= grid.n_angular
+        u = u.astype(np.int64)
+        v = np.floor(a, out=a).astype(np.int64)
+        np.minimum(v, grid.n_angular - 1, out=v)
     in_range &= z > grid.z_min
     in_range &= z < grid.z_max
-    u *= w
+    u *= grid.n_angular
     u += v
     flat = np.where(in_range, u, -1)
     return CellIndexMap(shape=grid.shape, flat=flat)
@@ -183,43 +168,12 @@ def height_image(cells: CellIndexMap, cloud: PointCloud, grid: BevGrid) -> Heigh
     )
 
 
-def _aggregate_window(images: list[HeightImage], how: str) -> tuple[np.ndarray, np.ndarray]:
-    """Pool per-frame height images into one window image.
-
-    ``images[0]`` is the newest frame of the window.  Occupancy is the
-    union; unoccupied cells pool to 0.
-    """
-    if how not in AGGREGATES:
-        raise ValueError(f"unknown aggregate {how!r}")
-    values = np.stack([im.values for im in images])
-    occ = np.stack([im.occupancy for im in images])
-    any_occ = occ.any(axis=0)
-    if how == "max":
-        pooled = np.where(occ, values, -np.inf).max(axis=0)
-        pooled = np.where(any_occ, pooled, 0.0)
-    elif how == "mean":
-        counts = occ.sum(axis=0)
-        pooled = np.where(occ, values, 0.0).sum(axis=0)
-        pooled = np.divide(pooled, counts, out=np.zeros_like(pooled), where=counts > 0)
-    else:  # latest occupied frame wins
-        pooled = np.zeros_like(values[0])
-        for vals, o in zip(values[::-1], occ[::-1]):
-            pooled = np.where(o, vals, pooled)
-    return pooled, any_occ
-
-
-def motion_residuals(
-    q1: list[HeightImage],
-    q2: list[HeightImage],
-    aggregate: str = "max",
-    per_frame: bool = False,
-) -> MotionTensor:
+def motion_residuals(q1: list[HeightImage], q2: list[HeightImage]) -> MotionTensor:
     """Build the N = len(q1) + len(q2) motion channels from two windows.
 
-    Default (window-level) form: one difference image I1 - I2 is shared by
-    all channels of the newer window and its negation by the older window's
-    channels.  With ``per_frame`` each channel uses its own frame's height
-    image in place of the pooled window image on its side.
+    Each window pools to its per-cell max height span over the window's
+    frames.  One difference image I1 - I2 is shared by all channels of the
+    newer window and its negation by the older window's channels.
     """
     if not q1 or not q2:
         raise ShapeMismatch("both windows need at least one frame")
@@ -229,18 +183,14 @@ def motion_residuals(
             raise ShapeMismatch("window images disagree in shape")
     n2 = len(q1)
     n = n2 + len(q2)
-    i1, _ = _aggregate_window(q1, aggregate)
-    i2, _ = _aggregate_window(q2, aggregate)
+    # values are >= 0 and exactly 0 where unoccupied, so the plain max is
+    # the max over the occupied frames, and 0 where no frame is occupied
+    i1 = np.max([im.values for im in q1], axis=0)
+    i2 = np.max([im.values for im in q2], axis=0)
+    diff = i1 - i2
     channels = np.empty((n, *shape))
-    if per_frame:
-        for k, im in enumerate(q1):
-            channels[k] = np.where(im.occupancy, im.values, 0.0) - i2
-        for k, im in enumerate(q2):
-            channels[n2 + k] = np.where(im.occupancy, im.values, 0.0) - i1
-    else:
-        diff = i1 - i2
-        channels[:n2] = diff
-        channels[n2:] = -diff
+    channels[:n2] = diff
+    channels[n2:] = -diff
     return MotionTensor(channels=channels, n2=n2, n_residual=n)
 
 

@@ -32,7 +32,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """argparse type of ``--threads`` and ``--frames``: an integer >= 1."""
+    """argparse type of ``--threads``, ``--frames`` and ``--epochs``: an
+    integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
         help="none | synth | directory of .logits files",
     )
-    p.add_argument("--epochs", type=int, default=None, help="override train.epochs")
+    p.add_argument("--epochs", type=_count, default=None, help="override train.epochs")
     p.add_argument("--log", help="write per-epoch log lines to this file")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a sequence")
@@ -141,7 +142,6 @@ def cmd_project(args) -> int:
     window, split = cfg.window()
     grid = cfg.bev_grid()
     meta = {
-        "mode": grid.mode,
         "n_radial": grid.n_radial,
         "n_angular": grid.n_angular,
         "r_max": grid.r_max,
@@ -195,13 +195,15 @@ def _resolve_teacher(args, cfg: RunConfig, samples) -> RunConfig:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
+    epochs = args.epochs if args.epochs is not None else cfg.get_int("train.epochs")
+    if epochs < 1:  # zero epochs would save the untrained weights
+        raise ConfigError(f"train.epochs must be >= 1, got {epochs}")
     clouds, classes, poses = _load_labeled_sequence(args)
     samples = pipeline.build_samples(clouds, classes, poses, cfg, threads=args.threads)
     train, heldout = pipeline.split_train_heldout(
         samples, cfg.get_float("train.val_fraction")
     )
     cfg = _resolve_teacher(args, cfg, train)
-    epochs = args.epochs if args.epochs is not None else cfg.get_int("train.epochs")
     net = nnet.build_network(
         pipeline.student_descriptor(cfg), seed=cfg.get_int("train.seed")
     )
@@ -277,8 +279,6 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         sample = pipeline.build_sample(
             clouds, classes, poses, i, cfg.bev_grid(), *cfg.window(),
-            cfg.get_str("bev.aggregate"),
-            cfg.get_bool("bev.per_frame_residuals"),
             cfg.get_bool("bev.appearance_channels"),
         )
         t1 = time.perf_counter()

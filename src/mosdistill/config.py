@@ -27,31 +27,25 @@ class _Key:
 # epochs: 150 is the documented full-scale value; desk-scale synthetic runs
 # pass --epochs to scale down.
 CONFIG_KEYS: dict[str, _Key] = {
-    "bev.mode": _Key("polar", "grid geometry: polar | cartesian"),
-    "bev.n_radial": _Key("32", "radial bins (x bins in cartesian mode)"),
-    "bev.n_angular": _Key("360", "angular bins (y bins in cartesian mode)"),
+    "bev.n_radial": _Key("32", "radial bins"),
+    "bev.n_angular": _Key("360", "angular bins"),
     "bev.r_max": _Key("50.0", "projection range in meters"),
     "bev.z_min": _Key("-4.0", "lower z cut (exclusive)"),
     "bev.z_max": _Key("2.0", "upper z cut (exclusive)"),
     "bev.window": _Key("8", "frames per motion tensor"),
     "bev.split": _Key("4", "newer-window length"),
-    "bev.aggregate": _Key("max", "window pooling: max | mean | latest"),
-    "bev.per_frame_residuals": _Key(
-        "false", "per-frame residual channels instead of the shared window difference"
-    ),
     "bev.appearance_channels": _Key(
         "false", "append raw per-frame height images to the motion tensor"
     ),
     "distill.temperature": _Key("1.0", "softmax temperature for distillation"),
     "distill.beta": _Key("1.0", "weight of the non-target term"),
     "distill.gamma": _Key("0.25", "weight of the distillation loss in the total"),
-    "distill.moving_class": _Key("3", "class id treated as moving"),
     "distill.weight_floor": _Key(
         "auto", "floor for frame class shares; auto = 1 / valid cells"
     ),
     "distill.prob_floor": _Key("1e-12", "floor inside logs"),
     "distill.tckd_scope": _Key(
-        "moving", "labels receiving the target-class term: moving | all | none"
+        "moving", "labels receiving the target-class term: moving | all"
     ),
     "teacher.kappa": _Key("10.0", "synthetic teacher confidence"),
     "teacher.sigma": _Key("1.0", "synthetic teacher logit noise"),
@@ -157,7 +151,6 @@ class RunConfig:
     def bev_grid(self) -> BevGrid:
         try:
             return BevGrid(
-                mode=self.get_str("bev.mode"),
                 n_radial=self.get_int("bev.n_radial"),
                 n_angular=self.get_int("bev.n_angular"),
                 r_max=self.get_float("bev.r_max"),
@@ -175,7 +168,6 @@ class RunConfig:
                 temperature=self.get_float("distill.temperature"),
                 beta=self.get_float("distill.beta"),
                 gamma=self.get_float("distill.gamma"),
-                moving_class=self.get_int("distill.moving_class"),
                 weight_floor=floor,
                 prob_floor=self.get_float("distill.prob_floor"),
                 tckd_scope=self.get_str("distill.tckd_scope"),

@@ -26,7 +26,7 @@ from .bev import CellLabelGrid
 from .errors import EmptyFrame, ShapeMismatch
 from .kitti_io import CLASS_MOVING, NUM_CLASSES
 
-TCKD_SCOPES = ("moving", "all", "none")
+TCKD_SCOPES = ("moving", "all")
 
 
 @dataclass(frozen=True)
@@ -59,14 +59,13 @@ class DistillConfig:
 
     ``weight_floor=None`` means 1 / (number of valid cells), resolved per
     frame.  ``tckd_scope`` selects which labels receive the binary
-    target-class term: only the moving class (the decoupled default),
-    every class (plain decoupled KD), or none.
+    target-class term: only the moving class (the decoupled default) or
+    every class (plain decoupled KD).
     """
 
     temperature: float = 1.0
     beta: float = 1.0
     gamma: float = 0.25
-    moving_class: int = CLASS_MOVING
     weight_floor: float | None = None
     prob_floor: float = 1e-12
     tckd_scope: str = "moving"
@@ -76,8 +75,6 @@ class DistillConfig:
             raise ValueError("temperature must be positive")
         if self.beta < 0 or self.gamma < 0:
             raise ValueError("beta and gamma must be non-negative")
-        if not 0 <= self.moving_class < NUM_CLASSES:
-            raise ValueError("moving_class must be a valid class id")
         if self.weight_floor is not None and self.weight_floor <= 0:
             raise ValueError("weight_floor must be positive")
         if self.prob_floor <= 0:
@@ -171,9 +168,7 @@ def kd_split(
 def _tckd_applies(t: np.ndarray, cfg: DistillConfig) -> np.ndarray:
     if cfg.tckd_scope == "all":
         return np.ones(t.shape, dtype=bool)
-    if cfg.tckd_scope == "none":
-        return np.zeros(t.shape, dtype=bool)
-    return t == cfg.moving_class
+    return t == CLASS_MOVING
 
 
 def frame_weights(labels: CellLabelGrid, cfg: DistillConfig) -> np.ndarray:

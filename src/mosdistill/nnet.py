@@ -323,9 +323,6 @@ class Network:
                     raise ShapeMismatch(f"bad shape for parameter {name}.{pname}")
                 layer.params[pname] = src.copy()
 
-    def num_parameters(self) -> int:
-        return sum(a.size for a in self.parameters().values())
-
     def forward(self, x: np.ndarray, train: bool = True) -> tuple[np.ndarray, list]:
         """Run every layer in order; return the output and the layer caches.
 

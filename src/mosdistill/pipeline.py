@@ -23,7 +23,6 @@ from .errors import ConfigError, EmptyFrame, NonFiniteLoss, ShapeMismatch
 from .kitti_io import (
     CLASS_UNLABELED,
     NUM_CLASSES,
-    ClassMap,
     PointCloud,
     Pose,
     read_calib,
@@ -46,7 +45,7 @@ class FrameSample:
 
 
 def load_sequence(
-    seq_dir: str | Path, class_map: ClassMap | None = None
+    seq_dir: str | Path,
 ) -> tuple[list[PointCloud], list[np.ndarray], list[Pose]]:
     """Read every scan, its remapped classes, and LiDAR-frame poses.
 
@@ -66,7 +65,7 @@ def load_sequence(
         clouds.append(cloud)
         if labeled:
             labels = read_labels(labels_dir / (path.stem + ".label"), len(cloud))
-            classes.append(remap_labels(labels, class_map))
+            classes.append(remap_labels(labels))
         else:
             classes.append(np.full(len(cloud), CLASS_UNLABELED, dtype=np.uint8))
     if len(poses) < len(clouds):
@@ -89,8 +88,6 @@ def build_sample(
     grid: bev.BevGrid,
     window: int,
     split: int,
-    aggregate: str = "max",
-    per_frame_residuals: bool = False,
     appearance: bool = False,
 ) -> FrameSample:
     """Project the window ending at ``index`` into one training sample."""
@@ -110,7 +107,7 @@ def build_sample(
         images.append(bev.height_image(cells, frame.cloud, grid))
     q1 = images[:split]
     q2 = images[split:]
-    motion = bev.motion_residuals(q1, q2, aggregate, per_frame_residuals)
+    motion = bev.motion_residuals(q1, q2)
     if appearance:
         motion = bev.append_appearance(motion, images)
     labels = bev.cell_labels(current_cells, classes[index], grid)
@@ -157,8 +154,6 @@ def build_samples(
             grid,
             window,
             split,
-            cfg.get_str("bev.aggregate"),
-            cfg.get_bool("bev.per_frame_residuals"),
             cfg.get_bool("bev.appearance_channels"),
         )
 

@@ -39,6 +39,19 @@ def height_oracle(cloud, grid):
     return values, occupancy
 
 
+def window_pool_oracle(images):
+    """Cell-loop window pooling: the max height span over the frames that
+    occupy the cell, and 0 where no frame does."""
+    h, w = images[0].values.shape
+    pooled = np.zeros((h, w))
+    for u in range(h):
+        for v in range(w):
+            spans = [im.values[u, v] for im in images if im.occupancy[u, v]]
+            if spans:
+                pooled[u, v] = max(spans)
+    return pooled
+
+
 def conv_oracle(x, weights, bias, stride, padding):
     """Six-loop cross-correlation."""
     c_out, c_in, k, _ = weights.shape
@@ -170,9 +183,9 @@ def nckd(z_teacher, z_student, t, temperature=1.0, prob_floor=1e-12):
 
 def dcd(z_teacher, z_student, t, cfg):
     """Decoupled class distillation for one cell: beta * NCKD, plus TCKD
-    where cfg.tckd_scope applies it (the moving class, all, or none)."""
+    where cfg.tckd_scope applies it (the moving class 3, or all)."""
     tau, floor = cfg.temperature, cfg.prob_floor
     value = cfg.beta * nckd(z_teacher, z_student, t, tau, floor)
-    if cfg.tckd_scope == "all" or (cfg.tckd_scope == "moving" and t == cfg.moving_class):
+    if cfg.tckd_scope == "all" or t == 3:
         value += tckd(z_teacher, z_student, t, tau, floor)
     return value

@@ -58,6 +58,18 @@ class TestSynthGen:
 
     def test_unknown_key_exit_one(self, tmp_path):
         assert main(["synth-gen", "--out", str(tmp_path), "--set", "nope=1"]) == 1
+        # keys that earlier builds accepted fail loudly, from --set or a file
+        for key, value in [
+            ("bev.mode", "polar"),
+            ("bev.aggregate", "max"),
+            ("bev.per_frame_residuals", "false"),
+            ("distill.moving_class", "3"),
+        ]:
+            assert main(["synth-gen", "--out", str(tmp_path), "--set", f"{key}={value}"]) == 1
+            old = tmp_path / "old.cfg"
+            old.write_text(f"{key} = {value}\n")
+            assert main(["synth-gen", "--out", str(tmp_path), "--config", str(old)]) == 1
+        assert not (tmp_path / "sequences").exists()
 
 
 class TestProject:
@@ -177,6 +189,22 @@ class TestTrain:
         code, _, _ = self.train(seq_dir, tmp_path, "empty", ["--teacher", "synth"])
         assert code == 1
         assert "no valid cells in frame 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--epochs", "0"], "argument --epochs"),
+            (["--epochs", "-3"], "argument --epochs"),
+            (["--set", "train.epochs=0"], "train.epochs must be >= 1, got 0"),
+        ],
+        ids=["flag-0", "flag-neg3", "config-0"],
+    )
+    def test_epochs_below_one_exit_one(self, seq_dir, tmp_path, capsys, args, message):
+        ckpt = tmp_path / "e.ckpt"
+        code = main(["train", "--seq", str(seq_dir), "--out-ckpt", str(ckpt), *tiny_cli_args(args)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_missing_sequence_nonzero(self, tmp_path):
         code = main(

@@ -27,7 +27,7 @@ class TestRunConfig:
         cfg = RunConfig.from_file(path)
         assert cfg.get_int("bev.n_radial") == 24
         assert cfg.get_int("scene.seed") == 9
-        assert cfg.get_str("bev.mode") == "polar"  # untouched default
+        assert cfg.get_int("bev.n_angular") == 360  # untouched default
 
     def test_file_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -68,11 +68,11 @@ class TestRunConfig:
 
     def test_bool_parsing(self):
         cfg = RunConfig.defaults()
-        cfg.set("bev.per_frame_residuals", "TRUE")
-        assert cfg.get_bool("bev.per_frame_residuals") is True
-        cfg.set("bev.per_frame_residuals", "maybe")
+        cfg.set("bev.appearance_channels", "TRUE")
+        assert cfg.get_bool("bev.appearance_channels") is True
+        cfg.set("bev.appearance_channels", "maybe")
         with pytest.raises(ConfigError):
-            cfg.get_bool("bev.per_frame_residuals")
+            cfg.get_bool("bev.appearance_channels")
 
     def test_weight_floor_auto_and_numeric(self):
         cfg = RunConfig.defaults()
