@@ -14,13 +14,14 @@ import sys
 import time
 
 from mosdistill import experiments
+from mosdistill.cli import positive_int
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=5, help="number of seeds")
+    parser.add_argument("--seeds", type=positive_int, default=5, help="number of seeds")
     parser.add_argument(
-        "--epochs", type=int, default=experiments.DEFAULT_EPOCHS, help="epochs per run"
+        "--epochs", type=positive_int, default=experiments.DEFAULT_EPOCHS, help="epochs per run"
     )
     args = parser.parse_args()
 

@@ -31,9 +31,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _count(text: str) -> int:
-    """argparse type of ``--threads``, ``--frames`` and ``--epochs``: an
-    integer >= 1."""
+def positive_int(text: str) -> int:
+    """argparse type of every count argument (``--threads``, ``--frames``,
+    ``--epochs``, and the benchmark script's ``--seeds``): an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -52,7 +52,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="override one config key (repeatable)",
     )
-    p.add_argument("--threads", type=_count, default=1, help="frame-level parallelism")
+    p.add_argument("--threads", type=positive_int, default=1, help="frame-level parallelism")
 
 
 def _load_config(args) -> RunConfig:
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
         help="none | synth | directory of .logits files",
     )
-    p.add_argument("--epochs", type=_count, default=None, help="override train.epochs")
+    p.add_argument("--epochs", type=positive_int, default=None, help="override train.epochs")
     p.add_argument("--log", help="write per-epoch log lines to this file")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a sequence")
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="projection and inference throughput")
     _add_common(p)
     p.add_argument("--seq", required=True)
-    p.add_argument("--frames", type=_count, default=20, help="timed frames (cycled)")
+    p.add_argument("--frames", type=positive_int, default=20, help="timed frames (cycled)")
     p.add_argument("--out", help="write the key=value report here")
 
     p = sub.add_parser("dump-config", help="print every config key with its default")
@@ -196,8 +196,6 @@ def _resolve_teacher(args, cfg: RunConfig, samples) -> RunConfig:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     epochs = args.epochs if args.epochs is not None else cfg.get_int("train.epochs")
-    if epochs < 1:  # zero epochs would save the untrained weights
-        raise ConfigError(f"train.epochs must be >= 1, got {epochs}")
     clouds, classes, poses = _load_labeled_sequence(args)
     samples = pipeline.build_samples(clouds, classes, poses, cfg, threads=args.threads)
     train, heldout = pipeline.split_train_heldout(
@@ -238,16 +236,16 @@ def cmd_export_logits(args) -> int:
     cfg = _load_config(args)
     net = nnet.load_checkpoint(args.ckpt)
     clouds, classes, poses = pipeline.load_sequence(args.seq)
-    samples = pipeline.build_samples(clouds, classes, poses, cfg, threads=args.threads)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     def export(sample: pipeline.FrameSample) -> None:
         grid = pipeline.predict_logits(net, sample)
+        # made by the frames, so a sequence shorter than the window leaves no directory
+        out.mkdir(parents=True, exist_ok=True)
         teacher.write_logits(grid, out / teacher.logits_filename(sample.frame_id))
 
-    pipeline.map_frames(export, samples, args.threads)
-    print(f"exported {len(samples)} logit grids to {out}")
+    n = len(pipeline.map_windows(clouds, classes, poses, cfg, export, args.threads))
+    print(f"exported {n} logit grids to {out}")
     return EXIT_OK
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from . import nnet, pipeline, synthbench
 from .config import RunConfig
+from .errors import ConfigError
 
 MODES = ("baseline", "wdcd", "dkd_all")
 
@@ -98,6 +99,8 @@ def run_seed(
 def run_distill_benchmark(
     seeds=range(5), epochs: int = DEFAULT_EPOCHS, progress=None
 ) -> list[SeedOutcome]:
+    if not seeds:
+        raise ConfigError("the distillation benchmark needs at least one seed")
     return [run_seed(seed, epochs, progress) for seed in seeds]
 
 

@@ -10,6 +10,13 @@ so an in-place SGD update is seen by the next forward of either width.
 Training, its backward and the gradient checks run in float64; inference
 (``pipeline.predict_logits``) runs in float32.
 
+Convolutions are flat-shift convolutions (see ``Conv2d``): each tap is one
+GEMM on a contiguous window of the padded input, with no per-tap copy.
+Their summation order differs from the per-tap ``tensordot`` of earlier
+builds, so checkpoints, exported logits and metrics are a new baseline
+that differs from those builds by rounding (about 5e-13 in float64, 1e-6
+in float32); reruns of one build are bit-identical.
+
 The decoder upsampling is a dynamic-sampling module: a per-pixel linear
 layer predicts bounded coordinate offsets which are pixel-shuffled to the
 output resolution and added to a regular base grid before bilinear
@@ -36,7 +43,21 @@ CKPT_VERSION = 1
 
 
 class Conv2d:
-    """Cross-correlation with square kernel, zero padding (k-1)//2."""
+    """Cross-correlation with square kernel, zero padding (k-1)//2.
+
+    Flat-shift lowering, one code path for every kernel and stride.  The
+    zero-padded input is split once into its s*s stride phases (one phase
+    at stride 1), each flattened row-major at the phase width ``wq`` with a
+    zero tail of (k-1)//s elements.  Tap (di, dj) then reads one contiguous
+    window of phase (di % s, dj % s) starting at ``(di//s)*wq + dj//s``,
+    and the output is accumulated in padded-width layout ``(c_out, ho*wq)``
+    with one GEMM per tap; the ``wq - wo`` junk columns that close each
+    output row are dropped at the end.  Backward reads the same windows:
+    a tap's weight gradient is ``g @ window.T`` with ``g`` zero in the junk
+    columns, and the input gradient is accumulated into phase buffers that
+    are interleaved back.  Every GEMM operand is a view that BLAS reads in
+    place; no tap copies its input.
+    """
 
     def __init__(
         self,
@@ -62,40 +83,92 @@ class Conv2d:
         k, s, p = self.kernel, self.stride, self.padding
         return ((h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1)
 
+    def _phase_shape(self, h: int, w: int) -> tuple[int, int]:
+        s, p = self.stride, self.padding
+        return -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
+
+    def _taps(self, wq: int) -> list[tuple[int, int, int, int]]:
+        """(di, dj, phase, offset) per tap: the phase it reads and where its
+        window starts in that phase's flat buffer."""
+        k, s = self.kernel, self.stride
+        return [
+            (di, dj, (di % s) * s + dj % s, (di // s) * wq + dj // s)
+            for di in range(k)
+            for dj in range(k)
+        ]
+
+    def _phase_views(self, buf: np.ndarray, h: int, w: int):
+        """(input slice, phase view) pairs that together cover the input once."""
+        s, p = self.stride, self.padding
+        hq, wq = self._phase_shape(h, w)
+        images = buf[:, :, : hq * wq].reshape(s * s, -1, hq, wq)
+        for a in range(s):
+            rows, in_rows = _phase_axis(h, s, p, a)
+            for b in range(s):
+                cols, in_cols = _phase_axis(w, s, p, b)
+                yield np.s_[:, in_rows, in_cols], images[a * s + b][:, rows, cols]
+
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         if x.shape[0] != self.c_in:
             raise ShapeMismatch(f"expected {self.c_in} input channels, got {x.shape[0]}")
-        k, s, p = self.kernel, self.stride, self.padding
+        k, s = self.kernel, self.stride
         h, w = x.shape[1:]
         ho, wo = self.out_shape(h, w)
-        xp = np.pad(x, ((0, 0), (p, p), (p, p)))
-        wt = self.params["w"].astype(x.dtype, copy=False)
+        hq, wq = self._phase_shape(h, w)
+        buf = np.zeros((s * s, self.c_in, hq * wq + (k - 1) // s), dtype=x.dtype)
+        for src, phase in self._phase_views(buf, h, w):
+            phase[...] = x[src]
+        wk = _kernel_major(self.params["w"], x.dtype)
+        n = ho * wq
+        y = np.empty((self.c_out, n), dtype=x.dtype)
+        tmp = np.empty_like(y)
+        for t, (di, dj, ph, off) in enumerate(self._taps(wq)):
+            np.matmul(wk[di, dj], buf[ph, :, off : off + n], out=tmp if t else y)
+            if t:
+                y += tmp
+        del tmp  # freed before the output is allocated, to lower the peak
         b = self.params["b"].astype(x.dtype, copy=False)
-        y = np.broadcast_to(b[:, None, None], (self.c_out, ho, wo)).copy()
-        for di in range(k):
-            for dj in range(k):
-                xs = xp[:, di : di + (ho - 1) * s + 1 : s, dj : dj + (wo - 1) * s + 1 : s]
-                y += np.tensordot(wt[:, :, di, dj], xs, axes=1)
-        return y, xp
+        out = y.reshape(self.c_out, ho, wq)[:, :, :wo] + b[:, None, None]
+        return out, (buf, h, w)
 
     def backward(self, gout: np.ndarray, cache: tuple) -> tuple[np.ndarray, dict]:
-        xp = cache
-        k, s, p = self.kernel, self.stride, self.padding
+        buf, h, w = cache
         ho, wo = gout.shape[1:]
-        wt = self.params["w"]
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(wt)
-        gb = gout.sum(axis=(1, 2))
-        for di in range(k):
-            for dj in range(k):
-                sl = np.s_[:, di : di + (ho - 1) * s + 1 : s, dj : dj + (wo - 1) * s + 1 : s]
-                gw[:, :, di, dj] = np.tensordot(gout, xp[sl], axes=([1, 2], [1, 2]))
-                gxp[sl] += np.tensordot(wt[:, :, di, dj].T, gout, axes=1)
-        if p:
-            gx = gxp[:, p:-p, p:-p]
-        else:
-            gx = gxp
-        return gx, {"w": gw, "b": gb}
+        _, wq = self._phase_shape(h, w)
+        n = ho * wq
+        g = np.zeros((self.c_out, ho, wq), dtype=buf.dtype)
+        g[:, :, :wo] = gout
+        g = g.reshape(self.c_out, n)
+        wk = _kernel_major(self.params["w"], buf.dtype)
+        gwk = np.empty_like(wk)
+        gbuf = np.zeros_like(buf)
+        tmp = np.empty((self.c_in, n), dtype=buf.dtype)
+        for di, dj, ph, off in self._taps(wq):
+            window = buf[ph, :, off : off + n]
+            np.matmul(g, window.T, out=gwk[di, dj])
+            np.matmul(wk[di, dj].T, g, out=tmp)
+            gbuf[ph, :, off : off + n] += tmp
+        gx = np.empty((self.c_in, h, w), dtype=buf.dtype)
+        for src, phase in self._phase_views(gbuf, h, w):
+            gx[src] = phase
+        gw = np.ascontiguousarray(gwk.transpose(2, 3, 0, 1))
+        return gx, {"w": gw, "b": gout.sum(axis=(1, 2))}
+
+
+def _kernel_major(w: np.ndarray, dtype) -> np.ndarray:
+    """(c_out, c_in, k, k) weights as (k, k, c_out, c_in), so that every
+    tap's (c_out, c_in) matrix is contiguous."""
+    return np.ascontiguousarray(w.transpose(2, 3, 0, 1), dtype=dtype)
+
+
+def _phase_axis(n: int, s: int, p: int, a: int) -> tuple[slice, slice]:
+    """One axis of stride phase ``a``: phase index i holds padded position
+    s*i + a, which is input position s*i + a - p.  Returns the phase
+    indices that land inside the n input positions, and those positions."""
+    first = -((a - p) // s)  # ceil((p - a) / s)
+    start = s * first + a - p
+    count = len(range(start, n, s))
+    return slice(first, first + count), slice(start, None, s)
 
 
 class ReLU:

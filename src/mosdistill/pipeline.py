@@ -132,6 +132,32 @@ def map_frames(fn: Callable, items: Sequence, threads: int) -> list:
     return [fn(item) for item in items]
 
 
+def map_windows(
+    clouds: list[PointCloud],
+    classes: list[np.ndarray],
+    poses: list[Pose],
+    cfg: RunConfig,
+    fn: Callable[[FrameSample], object],
+    threads: int = 1,
+) -> list:
+    """``fn(sample)`` for the sample of every full window, in frame order.
+
+    Building a sample and consuming it is one ``map_frames`` task, so a
+    consumer that keeps nothing (export) never holds every sample at once.
+    """
+    grid = cfg.bev_grid()
+    window, split = cfg.window()
+    idxs = usable_frames(len(clouds), window)
+    if not idxs:
+        raise ConfigError(f"{len(clouds)} frames, too short for a window of {window}")
+    appearance = cfg.get_bool("bev.appearance_channels")
+
+    def task(i: int):
+        return fn(build_sample(clouds, classes, poses, i, grid, window, split, appearance))
+
+    return map_frames(task, idxs, threads)
+
+
 def build_samples(
     clouds: list[PointCloud],
     classes: list[np.ndarray],
@@ -139,25 +165,7 @@ def build_samples(
     cfg: RunConfig,
     threads: int = 1,
 ) -> list[FrameSample]:
-    grid = cfg.bev_grid()
-    window, split = cfg.window()
-    idxs = usable_frames(len(clouds), window)
-    if not idxs:
-        raise ConfigError(f"{len(clouds)} frames, too short for a window of {window}")
-
-    def make(i: int) -> FrameSample:
-        return build_sample(
-            clouds,
-            classes,
-            poses,
-            i,
-            grid,
-            window,
-            split,
-            cfg.get_bool("bev.appearance_channels"),
-        )
-
-    return map_frames(make, idxs, threads)
+    return map_windows(clouds, classes, poses, cfg, lambda sample: sample, threads)
 
 
 def attach_synth_teacher(
@@ -263,10 +271,13 @@ def train_student(
 ) -> list[EpochLog]:
     """SGD training with the composed loss; deterministic per seed.
 
-    Raises NonFiniteLoss (with the offending frame id) the moment a loss
-    stops being finite, and EmptyFrame naming the frame that has no valid
-    cell.
+    Raises ConfigError when ``epochs`` is below 1 (zero epochs would leave
+    the weights untrained), NonFiniteLoss (with the offending frame id) the
+    moment a loss stops being finite, and EmptyFrame naming the frame that
+    has no valid cell.
     """
+    if epochs < 1:
+        raise ConfigError(f"train.epochs must be >= 1, got {epochs}")
     if not train:
         raise ConfigError("no training samples")
     dcfg = cfg.distill()

@@ -226,10 +226,14 @@ def _layer_fd(layer, x: np.ndarray, rng: np.random.Generator) -> float:
     return worst
 
 
-def check_conv_grad(rng: np.random.Generator, stride: int, kernel: int) -> float:
+def check_conv_grad(
+    rng: np.random.Generator, stride: int, kernel: int, shape: tuple[int, int] | None = None
+) -> float:
+    """FD check of one conv on a (2, h, w) input; ``shape`` defaults to
+    4x6 at stride 2 and 5x6 at stride 1."""
     layer = nnet.Conv2d(2, 3, kernel=kernel, stride=stride, rng=rng)
-    h = 4 if stride == 2 else 5
-    x = rng.normal(size=(2, h, 6))
+    h, w = shape or ((4, 6) if stride == 2 else (5, 6))
+    x = rng.normal(size=(2, h, w))
     return _layer_fd(layer, x, rng)
 
 
@@ -292,6 +296,7 @@ def suite_gradcheck(instances: int = 20, seed: int = 23) -> SuiteResult:
     run("total", lambda: check_total_grad(rng, cfg))
     run("conv3x3_s1", lambda: check_conv_grad(rng, 1, 3))
     run("conv3x3_s2", lambda: check_conv_grad(rng, 2, 3))
+    run("conv3x3_s2_odd", lambda: check_conv_grad(rng, 2, 3, (5, 7)))
     run("conv1x1", lambda: check_conv_grad(rng, 1, 1))
     run("relu", lambda: check_relu_grad(rng))
     run("dysample", lambda: check_dysample_grad(rng))

@@ -72,6 +72,30 @@ def conv_oracle(x, weights, bias, stride, padding):
     return y
 
 
+def conv_grad_oracle(x, weights, gout, stride, padding):
+    """Scalar-loop input and weight gradients of the cross-correlation for
+    the output gradient ``gout``: each (output, tap) pair adds
+    gout * weight into the input pixel it read and gout * input into the
+    weight it used.  Returns (grad_x, grad_w)."""
+    c_out, c_in, k, _ = weights.shape
+    _, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding))).astype(np.float64)
+    gxp = np.zeros(xp.shape)
+    gw = np.zeros(weights.shape)
+    _, ho, wo = gout.shape
+    for co in range(c_out):
+        for i in range(ho):
+            for j in range(wo):
+                g = float(gout[co, i, j])
+                for ci in range(c_in):
+                    for di in range(k):
+                        for dj in range(k):
+                            r, c = i * stride + di, j * stride + dj
+                            gxp[ci, r, c] += g * weights[co, ci, di, dj]
+                            gw[co, ci, di, dj] += g * xp[ci, r, c]
+    return gxp[:, padding : padding + h, padding : padding + w], gw
+
+
 def _dysample_taps(x, linear_w, linear_b, scale, offset_factor):
     """Per output pixel (i, j), in row-major order: the four bilinear taps
     ((row, col, weight) for corners 00, 01, 10, 11), ty, tx, whether each

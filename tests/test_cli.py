@@ -364,7 +364,7 @@ class TestExportLogits:
         teacher_ckpt = tmp_path / "teacher.ckpt"
         nnet.save_checkpoint(teacher_ckpt, nnet.build_network("teacher:in=4,base=16", seed=3))
         trees = []
-        for threads in (1, 2, 3):
+        for threads in (1, 2, 3, 4):
             out = tmp_path / f"logits{threads}"
             code = main(
                 [
@@ -374,7 +374,7 @@ class TestExportLogits:
             )
             assert code == 0
             trees.append(tree_bytes(out))
-        assert trees[0] == trees[1] == trees[2]
+        assert trees[0] == trees[1] == trees[2] == trees[3]
         net = nnet.load_checkpoint(teacher_ckpt)
         samples = pipeline.build_samples(*pipeline.load_sequence(seq_dir), tiny_config)
         assert sorted(trees[0]) == [teacher.logits_filename(s.frame_id) for s in samples]
@@ -384,6 +384,17 @@ class TestExportLogits:
             exported = teacher.read_logits(tmp_path / "logits2" / name)
             np.testing.assert_array_equal(exported.scores, grid.scores.astype(np.float32))
             np.testing.assert_array_equal(exported.valid, grid.valid)
+
+    def test_window_longer_than_sequence_exits_one(self, seq_dir, tmp_path, zero_ckpt, capsys):
+        out = tmp_path / "logits"
+        args = tiny_cli_args(["--set", "bev.window=8"])  # the tiny scene has 7 frames
+        code = main(
+            ["export-logits", "--ckpt", str(zero_ckpt), "--seq", str(seq_dir),
+             "--out", str(out), "--threads", "2", *args]
+        )
+        assert code == 1
+        assert "7 frames, too short for a window of 8" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_teacher_exits_three_naming_frame(self, seq_dir, tmp_path, capsys):
         net = nnet.build_network("teacher:in=4,base=16", seed=3)

@@ -12,7 +12,24 @@ from mosdistill.verify import (
     grad_error,
     finite_difference,
 )
-from oracle_utils import conv_oracle, dysample_input_grad_oracle, dysample_oracle
+from oracle_utils import (
+    conv_grad_oracle,
+    conv_oracle,
+    dysample_input_grad_oracle,
+    dysample_oracle,
+)
+
+
+# (kernel, stride) of every conv the networks build, and input shapes with
+# odd and even sides, single rows and single pixels
+CONV_KINDS = [(3, 1), (3, 2), (1, 1)]
+CONV_SHAPES = [(4, 4), (5, 7), (7, 5), (1, 1), (1, 6), (2, 2)]
+
+
+def _conv_with_bias(rng, kernel, stride):
+    layer = nnet.Conv2d(3, 4, kernel=kernel, stride=stride, rng=rng)
+    layer.params["b"] = rng.normal(size=4)
+    return layer
 
 
 class TestConv2d:
@@ -39,9 +56,45 @@ class TestConv2d:
         ref = conv_oracle(x, layer.params["w"], layer.params["b"], stride, layer.padding)
         np.testing.assert_allclose(y, ref, atol=1e-12)
 
+    @pytest.mark.parametrize("kernel,stride", CONV_KINDS)
+    @pytest.mark.parametrize("h,w", CONV_SHAPES)
+    def test_forward_matches_oracle_over_shapes(self, rng, kernel, stride, h, w):
+        layer = _conv_with_bias(rng, kernel, stride)
+        x = rng.normal(size=(3, h, w))
+        before = x.copy()
+        y, _ = layer.forward(x)
+        ref = conv_oracle(x, layer.params["w"], layer.params["b"], stride, layer.padding)
+        np.testing.assert_array_equal(x, before)
+        assert y.dtype == np.float64 and y.flags.c_contiguous
+        np.testing.assert_allclose(y, ref, rtol=0, atol=1e-12)
+        y32, _ = layer.forward(x.astype(np.float32))
+        assert y32.dtype == np.float32 and y32.flags.c_contiguous
+        np.testing.assert_allclose(y32, ref, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("kernel,stride", CONV_KINDS)
+    @pytest.mark.parametrize("h,w", CONV_SHAPES)
+    def test_backward_matches_scalar_oracle(self, rng, kernel, stride, h, w):
+        layer = _conv_with_bias(rng, kernel, stride)
+        x = rng.normal(size=(3, h, w))
+        before = x.copy()
+        y, cache = layer.forward(x)
+        g = rng.normal(size=y.shape)
+        gx, grads = layer.backward(g, cache)
+        ref_gx, ref_gw = conv_grad_oracle(x, layer.params["w"], g, stride, layer.padding)
+        np.testing.assert_array_equal(x, before)
+        assert gx.dtype == np.float64 and gx.flags.c_contiguous
+        np.testing.assert_allclose(gx, ref_gx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads["w"], ref_gw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads["b"], g.sum(axis=(1, 2)), rtol=0, atol=1e-12)
+        _, cache32 = layer.forward(x.astype(np.float32))
+        gx32, _ = layer.backward(g.astype(np.float32), cache32)
+        assert gx32.dtype == np.float32 and gx32.flags.c_contiguous
+        np.testing.assert_allclose(gx32, ref_gx, rtol=0, atol=1e-5)
+
     def test_backward_finite_difference(self, rng):
         assert check_conv_grad(rng, 1, 3) < 1e-4
         assert check_conv_grad(rng, 2, 3) < 1e-4
+        assert check_conv_grad(rng, 2, 3, (5, 7)) < 1e-4
         assert check_conv_grad(rng, 1, 1) < 1e-4
 
     def test_channel_mismatch(self, rng):

@@ -92,6 +92,21 @@ class TestBuildSamples:
             np.testing.assert_array_equal(sa.motion.channels, sb.motion.channels)
             np.testing.assert_array_equal(sa.labels.labels, sb.labels.labels)
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_map_windows_returns_consumer_results_in_frame_order(
+        self, loaded, tiny_config, threads
+    ):
+        built = pipeline.build_samples(*loaded, tiny_config)
+        seen = []
+
+        def consume(sample):
+            seen.append(sample.frame_id)
+            return sample.frame_id, sample.motion.channels.sum()
+
+        out = pipeline.map_windows(*loaded, tiny_config, consume, threads)
+        assert out == [(s.frame_id, s.motion.channels.sum()) for s in built]
+        assert sorted(seen) == [s.frame_id for s in built]
+
     def test_appearance_channels_double_width(self, loaded, tiny_config):
         clouds, classes, poses = loaded
         tiny_config.set("bev.appearance_channels", "true")
@@ -183,6 +198,17 @@ class TestTraining:
         logs = pipeline.train_student(net, samples, [], tiny_config, epochs=6)
         assert logs[-1].total < logs[0].total
         assert all(np.isfinite(l.total) for l in logs)
+
+    @pytest.mark.parametrize("epochs", [0, -2])
+    def test_epochs_below_one_raise_config_error(self, loaded, tiny_config, epochs):
+        samples = pipeline.build_samples(*loaded, tiny_config)
+        pipeline.attach_synth_teacher(samples, 10.0, 0.5, seed=0)
+        net = nnet.build_network(pipeline.student_descriptor(tiny_config), seed=0)
+        before = {name: p.copy() for name, p in net.parameters().items()}
+        with pytest.raises(ConfigError, match=f"train.epochs must be >= 1, got {epochs}"):
+            pipeline.train_student(net, samples, [], tiny_config, epochs=epochs)
+        for name, p in net.parameters().items():
+            np.testing.assert_array_equal(p, before[name])
 
     def test_teacher_grids_required_for_gamma(self, loaded, tiny_config):
         clouds, classes, poses = loaded
