@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IndexOutOfRange, IoFailure, ShapeMismatch
+from .errors import IndexOutOfRange, ShapeMismatch, write_file
 from .kitti_io import CLASS_UNLABELED, NUM_CLASSES, PointCloud
 
 
@@ -263,9 +263,5 @@ def write_pgm(values: np.ndarray, path: str | Path) -> None:
     data = np.round(scaled).astype(np.uint8)
     h, w = values.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    path = Path(path)
-    try:
-        path.write_bytes(header + data.tobytes())
-        Path(str(path) + ".norm").write_text(f"min={lo:.17g}\nmax={hi:.17g}\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write render {path}: {exc}") from exc
+    write_file(path, header + data.tobytes(), "render")
+    write_file(f"{path}.norm", f"min={lo:.17g}\nmax={hi:.17g}\n", "render")

@@ -10,6 +10,7 @@ measurements).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import bev, nnet, pipeline, teacher, verify
 from .config import RunConfig, documented_defaults
-from .errors import ConfigError, MosDistillError, NonFiniteLoss
+from .errors import ConfigError, MosDistillError, NonFiniteLoss, write_file
 from .metrics import write_metrics
 from .synthbench import export_kitti_sequence
 
@@ -134,38 +135,31 @@ def cmd_synth_gen(args) -> int:
 def cmd_project(args) -> int:
     cfg = _load_config(args)
     clouds, classes, poses = pipeline.load_sequence(args.seq)
-    samples = pipeline.build_samples(clouds, classes, poses, cfg, threads=args.threads)
     out = Path(args.out)
-    (out / "motion").mkdir(parents=True, exist_ok=True)
-    (out / "cell_labels").mkdir(parents=True, exist_ok=True)
-    (out / "cell_valid").mkdir(parents=True, exist_ok=True)
+
+    def save(sample: pipeline.FrameSample) -> None:
+        # made by the frames, so a sequence shorter than the window leaves no directory
+        name = f"{sample.frame_id:06d}"
+        for sub in ["motion", "cell_labels", "cell_valid"] + (["render"] if args.render else []):
+            (out / sub).mkdir(parents=True, exist_ok=True)
+        np.save(out / "motion" / f"{name}.npy", sample.motion.channels.astype(np.float32))
+        np.save(out / "cell_labels" / f"{name}.npy", sample.labels.labels)
+        np.save(out / "cell_valid" / f"{name}.npy", sample.labels.valid)
+        if args.render:
+            bev.write_pgm(sample.height.values, out / "render" / f"{name}_height.pgm")
+            for k, channel in enumerate(sample.motion.channels):
+                bev.write_pgm(channel, out / "render" / f"{name}_ch{k:02d}.pgm")
+
+    n = len(pipeline.map_windows(clouds, classes, poses, cfg, save, args.threads))
     window, split = cfg.window()
-    grid = cfg.bev_grid()
     meta = {
-        "n_radial": grid.n_radial,
-        "n_angular": grid.n_angular,
-        "r_max": grid.r_max,
-        "z_min": grid.z_min,
-        "z_max": grid.z_max,
+        **dataclasses.asdict(cfg.bev_grid()),
         "window": window,
         "split": split,
         "channels": pipeline.input_channels(cfg),
     }
     write_metrics(meta, out / "meta.txt")
-    for sample in samples:
-        fid = sample.frame_id
-        np.save(out / "motion" / f"{fid:06d}.npy", sample.motion.channels.astype(np.float32))
-        np.save(out / "cell_labels" / f"{fid:06d}.npy", sample.labels.labels)
-        np.save(out / "cell_valid" / f"{fid:06d}.npy", sample.labels.valid)
-        if args.render:
-            rdir = out / "render"
-            rdir.mkdir(exist_ok=True)
-            bev.write_pgm(sample.height.values, rdir / f"{fid:06d}_height.pgm")
-            for k in range(sample.motion.channels.shape[0]):
-                bev.write_pgm(
-                    sample.motion.channels[k], rdir / f"{fid:06d}_ch{k:02d}.pgm"
-                )
-    print(f"projected {len(samples)} frames to {out}")
+    print(f"projected {n} frames to {out}")
     return EXIT_OK
 
 
@@ -214,7 +208,7 @@ def cmd_train(args) -> int:
     pipeline.train_student(net, train, heldout, cfg, epochs, progress)
     nnet.save_checkpoint(args.out_ckpt, net)
     if args.log:
-        Path(args.log).write_text("\n".join(lines) + "\n")
+        write_file(args.log, "\n".join(lines) + "\n", "log")
     print(f"saved checkpoint to {args.out_ckpt}")
     return EXIT_OK
 
@@ -223,8 +217,10 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     net = nnet.load_checkpoint(args.ckpt)
     clouds, classes, poses = _load_labeled_sequence(args)
-    samples = pipeline.build_samples(clouds, classes, poses, cfg, threads=args.threads)
-    report = pipeline.evaluate(net, samples, threads=args.threads)
+    counts = pipeline.map_windows(
+        clouds, classes, poses, cfg, lambda s: pipeline.frame_confusion(net, s), args.threads
+    )
+    report = pipeline.confusion_report(counts)
     for key in sorted(report):
         print(f"{key}={report[key]}")
     if args.metrics_out:
@@ -263,10 +259,7 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
     clouds, classes, poses = pipeline.load_sequence(args.seq)
-    window, _ = cfg.window()
-    idxs = pipeline.usable_frames(len(clouds), window)
-    if not idxs:
-        raise ConfigError("sequence too short for the configured window")
+    idxs, build = pipeline.windows(clouds, classes, poses, cfg)
     net = nnet.build_network(
         pipeline.student_descriptor(cfg), seed=cfg.get_int("train.seed")
     )
@@ -275,10 +268,7 @@ def cmd_bench(args) -> int:
     for k in range(args.frames):
         i = idxs[k % len(idxs)]
         t0 = time.perf_counter()
-        sample = pipeline.build_sample(
-            clouds, classes, poses, i, cfg.bev_grid(), *cfg.window(),
-            cfg.get_bool("bev.appearance_channels"),
-        )
+        sample = build(i)
         t1 = time.perf_counter()
         pipeline.predict_logits(net, sample)
         t2 = time.perf_counter()

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .bev import BevGrid
-from .errors import ConfigError, IoFailure
+from .errors import ConfigError, read_file
 from .losses import DistillConfig
 from .synthbench import SceneConfig
 
@@ -86,10 +86,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise IoFailure(f"cannot read config {path}: {exc}") from exc
+        text = read_file(path, "config", text=True)
         cfg = cls.defaults()
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()

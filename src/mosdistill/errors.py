@@ -7,6 +7,8 @@ Each class carries its CLI exit code: 1 config, usage or I/O, 2 malformed
 or mismatched data, 3 numeric failure.
 """
 
+from pathlib import Path
+
 
 class MosDistillError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -22,6 +24,25 @@ class DataError(MosDistillError):
 
 class IoFailure(MosDistillError):
     """A file could not be opened, read, or written."""
+
+
+def read_file(path, what: str, text: bool = False) -> bytes | str:
+    """``path``'s bytes, or its text; an OSError becomes IoFailure naming ``what``."""
+    try:
+        return Path(path).read_text() if text else Path(path).read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_file(path, data: bytes | str, what: str) -> None:
+    """Write text or bytes to ``path``; an OSError becomes IoFailure naming ``what``."""
+    try:
+        if isinstance(data, str):
+            Path(path).write_text(data)
+        else:
+            Path(path).write_bytes(data)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {what} {path}: {exc}") from exc
 
 
 class MalformedScan(DataError):

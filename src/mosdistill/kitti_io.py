@@ -22,12 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    IoFailure,
     LabelCountMismatch,
     MalformedCalib,
     MalformedLabel,
     MalformedPoseLine,
     MalformedScan,
+    read_file,
+    write_file,
 )
 
 POINT_RECORD_BYTES = 16
@@ -41,10 +42,14 @@ CLASS_MOVING = 3
 NUM_CLASSES = 4
 CLASS_NAMES = ("unlabeled", "static", "movable", "moving")
 
-# SemanticKITTI-MOS convention for the default remap table.
-_MOVING_SEMANTIC_IDS = tuple(range(252, 260))
-_MOVABLE_SEMANTIC_IDS = (10, 11, 13, 15, 18, 20, 30, 31, 32)
-_UNLABELED_SEMANTIC_IDS = (0, 1)
+#: total map from 16-bit semantic ids to the 4 task classes, in the
+#: SemanticKITTI-MOS convention: moving = 252..259, movable = the
+#: vehicle/person ids, 0/1 unlabeled, the rest static
+CLASS_TABLE = np.full(65536, CLASS_STATIC, dtype=np.uint8)
+CLASS_TABLE[[0, 1]] = CLASS_UNLABELED
+CLASS_TABLE[[10, 11, 13, 15, 18, 20, 30, 31, 32]] = CLASS_MOVABLE
+CLASS_TABLE[252:260] = CLASS_MOVING
+CLASS_TABLE.flags.writeable = False
 
 # Representative semantic id written back out per class (used by the
 # synthetic-sequence exporter).
@@ -118,34 +123,6 @@ class LabelArray:
     def semantic(self) -> np.ndarray:
         return (self.raw & np.uint32(0xFFFF)).astype(np.uint16)
 
-    @property
-    def instance(self) -> np.ndarray:
-        return (self.raw >> np.uint32(16)).astype(np.uint16)
-
-
-@dataclass(frozen=True)
-class ClassMap:
-    """Total map from 16-bit semantic ids to the 4 task classes."""
-
-    table: np.ndarray  # (65536,) uint8
-
-    def __post_init__(self) -> None:
-        table = np.ascontiguousarray(self.table, dtype=np.uint8)
-        if table.shape != (65536,):
-            raise ValueError("class map table must cover all 16-bit semantic ids")
-        if table.max(initial=0) >= NUM_CLASSES:
-            raise ValueError("class ids must lie in {0, 1, 2, 3}")
-        object.__setattr__(self, "table", table)
-
-    @classmethod
-    def default(cls) -> "ClassMap":
-        """Moving = 252..259, movable = the vehicle/person ids, 0/1 unlabeled, rest static."""
-        table = np.full(65536, CLASS_STATIC, dtype=np.uint8)
-        table[list(_UNLABELED_SEMANTIC_IDS)] = CLASS_UNLABELED
-        table[list(_MOVABLE_SEMANTIC_IDS)] = CLASS_MOVABLE
-        table[list(_MOVING_SEMANTIC_IDS)] = CLASS_MOVING
-        return cls(table)
-
 
 @dataclass(frozen=True)
 class Pose:
@@ -199,10 +176,7 @@ def read_scan(path: str | Path) -> PointCloud:
     Point count is file_size / 16; coordinates must be finite.
     """
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read scan {path}: {exc}") from exc
+    data = read_file(path, "scan")
     if len(data) % POINT_RECORD_BYTES != 0:
         raise MalformedScan(
             f"{path}: size {len(data)} is not a multiple of {POINT_RECORD_BYTES}"
@@ -215,20 +189,13 @@ def read_scan(path: str | Path) -> PointCloud:
 
 def write_scan(cloud: PointCloud, path: str | Path) -> None:
     """Inverse of :func:`read_scan`; float32 LE records."""
-    data = np.ascontiguousarray(cloud.points, dtype="<f4").tobytes()
-    try:
-        Path(path).write_bytes(data)
-    except OSError as exc:
-        raise IoFailure(f"cannot write scan {path}: {exc}") from exc
+    write_file(path, np.ascontiguousarray(cloud.points, dtype="<f4").tobytes(), "scan")
 
 
 def read_labels(path: str | Path, expected_count: int) -> LabelArray:
     """Parse a ``.label`` file and check its length against the scan."""
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read labels {path}: {exc}") from exc
+    data = read_file(path, "labels")
     if len(data) % LABEL_RECORD_BYTES != 0:
         raise MalformedLabel(
             f"{path}: size {len(data)} is not a multiple of {LABEL_RECORD_BYTES}"
@@ -242,17 +209,13 @@ def read_labels(path: str | Path, expected_count: int) -> LabelArray:
 
 
 def write_labels(labels: LabelArray, path: str | Path) -> None:
-    data = np.ascontiguousarray(labels.raw, dtype="<u4").tobytes()
-    try:
-        Path(path).write_bytes(data)
-    except OSError as exc:
-        raise IoFailure(f"cannot write labels {path}: {exc}") from exc
+    write_file(path, np.ascontiguousarray(labels.raw, dtype="<u4").tobytes(), "labels")
 
 
-def remap_labels(labels: LabelArray, class_map: ClassMap | None = None) -> np.ndarray:
-    """Map raw labels to class ids in {0..3}; only the low 16 bits are consulted."""
-    cmap = class_map if class_map is not None else ClassMap.default()
-    return cmap.table[labels.semantic]
+def remap_labels(labels: LabelArray) -> np.ndarray:
+    """Map raw labels to class ids in {0..3} through ``CLASS_TABLE``; only
+    the low 16 bits are consulted."""
+    return CLASS_TABLE[labels.semantic]
 
 
 def _frame_id_from_name(path: Path) -> int:
@@ -260,21 +223,17 @@ def _frame_id_from_name(path: Path) -> int:
     return int(stem) if stem.isdigit() else 0
 
 
-def _parse_float_row(tokens: list[str], path: Path, lineno: int) -> np.ndarray:
+def _parse_3x4(tokens: list[str], error: type[Exception], where: str) -> np.ndarray:
+    """12 finite floats lifted to a 4x4 matrix; anything else raises
+    ``error`` with a message prefixed by ``where``."""
     if len(tokens) != 12:
-        raise MalformedPoseLine(
-            f"{path}:{lineno}: expected 12 values, got {len(tokens)}"
-        )
+        raise error(f"{where}: expected 12 values, got {len(tokens)}")
     try:
         row = np.array([float(tok) for tok in tokens], dtype=np.float64)
     except ValueError as exc:
-        raise MalformedPoseLine(f"{path}:{lineno}: {exc}") from exc
+        raise error(f"{where}: {exc}") from exc
     if not np.isfinite(row).all():
-        raise MalformedPoseLine(f"{path}:{lineno}: non-finite value")
-    return row
-
-
-def _lift_3x4(row: np.ndarray) -> np.ndarray:
+        raise error(f"{where}: non-finite value")
     m = np.eye(4)
     m[:3, :] = row.reshape(3, 4)
     return m
@@ -286,18 +245,14 @@ def read_poses(path: str | Path, calib: Calibration) -> list[Pose]:
     Each pose is conjugated by the extrinsic: T_velo = Tr^-1 . T_cam . Tr.
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise IoFailure(f"cannot read poses {path}: {exc}") from exc
+    text = read_file(path, "poses", text=True)
     tr = calib.tr
     tr_inv = Pose(tr).inverse().matrix
     poses = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        row = _parse_float_row(line.split(), path, lineno)
-        t_cam = _lift_3x4(row)
+        t_cam = _parse_3x4(line.split(), MalformedPoseLine, f"{path}:{lineno}")
         poses.append(Pose(tr_inv @ t_cam @ tr))
     return poses
 
@@ -310,41 +265,21 @@ def write_poses(poses: list[Pose], path: str | Path, calib: Calibration) -> None
     for pose in poses:
         t_cam = tr @ pose.matrix @ tr_inv
         lines.append(" ".join(f"{v:.17g}" for v in t_cam[:3, :].ravel()))
-    try:
-        Path(path).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write poses {path}: {exc}") from exc
+    write_file(path, "\n".join(lines) + "\n", "poses")
 
 
 def read_calib(path: str | Path) -> Calibration:
     """Extract the ``Tr:`` extrinsic from a KITTI odometry calib file."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise IoFailure(f"cannot read calib {path}: {exc}") from exc
-    for line in text.splitlines():
-        if not line.startswith("Tr:"):
-            continue
-        tokens = line.split()[1:]
-        if len(tokens) != 12:
-            raise MalformedCalib(f"{path}: Tr line holds {len(tokens)} values, want 12")
-        try:
-            row = np.array([float(tok) for tok in tokens], dtype=np.float64)
-        except ValueError as exc:
-            raise MalformedCalib(f"{path}: {exc}") from exc
-        if not np.isfinite(row).all():
-            raise MalformedCalib(f"{path}: non-finite Tr value")
-        return Calibration(_lift_3x4(row))
+    for line in read_file(path, "calib", text=True).splitlines():
+        if line.startswith("Tr:"):
+            return Calibration(_parse_3x4(line.split()[1:], MalformedCalib, f"{path}: Tr"))
     raise MalformedCalib(f"{path}: no line starting with 'Tr:'")
 
 
 def write_calib(calib: Calibration, path: str | Path) -> None:
     line = "Tr: " + " ".join(f"{v:.17g}" for v in calib.tr[:3, :].ravel())
-    try:
-        Path(path).write_text(line + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write calib {path}: {exc}") from exc
+    write_file(path, line + "\n", "calib")
 
 
 def classes_to_raw_labels(classes: np.ndarray) -> LabelArray:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IndexOutOfRange, IoFailure, LengthMismatch
+from .errors import IndexOutOfRange, LengthMismatch, read_file, write_file
 from .kitti_io import CLASS_NAMES, CLASS_UNLABELED, NUM_CLASSES
 
 DEFAULT_IGNORE = frozenset({CLASS_UNLABELED})
@@ -78,17 +78,11 @@ def write_metrics(metrics: dict[str, object], path: str | Path) -> None:
             lines.append(f"{key}={value:.10g}")
         else:
             lines.append(f"{key}={value}")
-    try:
-        Path(path).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write metrics {path}: {exc}") from exc
+    write_file(path, "\n".join(lines) + "\n", "metrics")
 
 
 def read_metrics(path: str | Path) -> dict[str, str]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise IoFailure(f"cannot read metrics {path}: {exc}") from exc
+    text = read_file(path, "metrics", text=True)
     out: dict[str, str] = {}
     for line in text.splitlines():
         if not line.strip():

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, IoFailure, NonFiniteLoss, ShapeMismatch
+from .errors import FormatError, NonFiniteLoss, ShapeMismatch, read_file, write_file
 
 CKPT_MAGIC = b"KDCK"
 CKPT_VERSION = 1
@@ -522,17 +522,11 @@ def save_checkpoint(path: str | Path, net: Network) -> None:
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    try:
-        Path(path).write_bytes(b"".join(chunks))
-    except OSError as exc:
-        raise IoFailure(f"cannot write checkpoint {path}: {exc}") from exc
+    write_file(path, b"".join(chunks), "checkpoint")
 
 
 def load_checkpoint(path: str | Path) -> Network:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read checkpoint {path}: {exc}") from exc
+    data = read_file(path, "checkpoint")
     off = 0
 
     def take(n: int) -> bytes:

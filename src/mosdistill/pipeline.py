@@ -97,14 +97,13 @@ def build_sample(
     aligned = geometry.align_to_current(
         clouds[first : index + 1], poses[first : index + 1], window - 1
     )
-    # aligned frames are ordered current-first; height images newest-first
+    # aligned clouds are ordered current-first; height images newest-first
     images = []
-    current_cells = None
-    for frame in aligned.frames:
-        cells = bev.project_to_cells(frame.cloud, grid)
-        if frame.time_step == 0:
+    for step, cloud in enumerate(aligned):
+        cells = bev.project_to_cells(cloud, grid)
+        if step == 0:
             current_cells = cells
-        images.append(bev.height_image(cells, frame.cloud, grid))
+        images.append(bev.height_image(cells, cloud, grid))
     q1 = images[:split]
     q2 = images[split:]
     motion = bev.motion_residuals(q1, q2)
@@ -132,6 +131,30 @@ def map_frames(fn: Callable, items: Sequence, threads: int) -> list:
     return [fn(item) for item in items]
 
 
+def windows(
+    clouds: list[PointCloud],
+    classes: list[np.ndarray],
+    poses: list[Pose],
+    cfg: RunConfig,
+) -> tuple[list[int], Callable[[int], FrameSample]]:
+    """The frames with a full window, and the builder of a frame's sample.
+
+    Raises ConfigError when the sequence is shorter than the window, before
+    any sample is built.
+    """
+    grid = cfg.bev_grid()
+    window, split = cfg.window()
+    idxs = usable_frames(len(clouds), window)
+    if not idxs:
+        raise ConfigError(f"{len(clouds)} frames, too short for a window of {window}")
+    appearance = cfg.get_bool("bev.appearance_channels")
+
+    def build(i: int) -> FrameSample:
+        return build_sample(clouds, classes, poses, i, grid, window, split, appearance)
+
+    return idxs, build
+
+
 def map_windows(
     clouds: list[PointCloud],
     classes: list[np.ndarray],
@@ -143,19 +166,11 @@ def map_windows(
     """``fn(sample)`` for the sample of every full window, in frame order.
 
     Building a sample and consuming it is one ``map_frames`` task, so a
-    consumer that keeps nothing (export) never holds every sample at once.
+    consumer that keeps only a small result (project, eval, export) never
+    holds every sample at once.
     """
-    grid = cfg.bev_grid()
-    window, split = cfg.window()
-    idxs = usable_frames(len(clouds), window)
-    if not idxs:
-        raise ConfigError(f"{len(clouds)} frames, too short for a window of {window}")
-    appearance = cfg.get_bool("bev.appearance_channels")
-
-    def task(i: int):
-        return fn(build_sample(clouds, classes, poses, i, grid, window, split, appearance))
-
-    return map_frames(task, idxs, threads)
+    idxs, build = windows(clouds, classes, poses, cfg)
+    return map_frames(lambda i: fn(build(i)), idxs, threads)
 
 
 def build_samples(
@@ -344,23 +359,31 @@ def train_student(
     return logs
 
 
+def frame_confusion(net: nnet.Network, sample: FrameSample) -> np.ndarray:
+    """Predict one sample; its (2, C, C) cell-level and point-level
+    confusion counts."""
+    cell_pred = np.argmax(predict_logits(net, sample).scores, axis=2)
+    point_pred = bev.back_project(cell_pred.astype(np.uint8), sample.cells)
+    valid = sample.labels.valid
+    cell_cm = metrics.accumulate(
+        metrics.ConfusionMatrix(), cell_pred[valid], sample.labels.labels[valid]
+    )
+    point_cm = metrics.accumulate(metrics.ConfusionMatrix(), point_pred, sample.point_classes)
+    return np.stack([cell_cm.counts, point_cm.counts])
+
+
+def confusion_report(counts: list[np.ndarray]) -> dict[str, object]:
+    """The IoU report of the summed per-frame counts; integer sums, so the
+    report depends on neither the frame order nor the thread count."""
+    total = sum(counts, np.zeros((2, NUM_CLASSES, NUM_CLASSES), dtype=np.int64))
+    return metrics.metrics_report(*(metrics.ConfusionMatrix(cm) for cm in total))
+
+
 def evaluate(
     net: nnet.Network, samples: list[FrameSample], threads: int = 1
 ) -> dict[str, object]:
     """Cell-level and point-level IoU report over the given samples."""
-    cell_cm = metrics.ConfusionMatrix()
-    point_cm = metrics.ConfusionMatrix()
-
-    def predict(sample: FrameSample) -> np.ndarray:
-        return np.argmax(predict_logits(net, sample).scores, axis=2)
-
-    preds = map_frames(predict, samples, threads)
-    for sample, cell_pred in zip(samples, preds):
-        valid = sample.labels.valid
-        metrics.accumulate(cell_cm, cell_pred[valid], sample.labels.labels[valid])
-        point_pred = bev.back_project(cell_pred.astype(np.uint8), sample.cells)
-        metrics.accumulate(point_cm, point_pred, sample.point_classes)
-    return metrics.metrics_report(cell_cm, point_cm)
+    return confusion_report(map_frames(lambda s: frame_confusion(net, s), samples, threads))
 
 
 def split_train_heldout(

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .bev import CellLabelGrid
-from .errors import FormatError, IoFailure
+from .errors import FormatError, read_file, write_file
 from .kitti_io import NUM_CLASSES
 from .losses import LogitGrid
 
@@ -43,17 +43,11 @@ def write_logits(grid: LogitGrid, path: str | Path) -> None:
     header = LOGITS_MAGIC + struct.pack("<HHII", LOGITS_VERSION, c, h, w)
     payload = np.ascontiguousarray(grid.scores, dtype="<f4").tobytes()
     bitmap = np.packbits(grid.valid.ravel(), bitorder="little").tobytes()
-    try:
-        Path(path).write_bytes(header + payload + bitmap)
-    except OSError as exc:
-        raise IoFailure(f"cannot write logits {path}: {exc}") from exc
+    write_file(path, header + payload + bitmap, "logits")
 
 
 def read_logits(path: str | Path) -> LogitGrid:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read logits {path}: {exc}") from exc
+    data = read_file(path, "logits")
     if len(data) < 16:
         raise FormatError(f"{path}: file shorter than the header")
     if data[:4] != LOGITS_MAGIC:

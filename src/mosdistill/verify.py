@@ -115,17 +115,23 @@ def suite_identity(n_draws: int = 1000, seed: int = 11) -> SuiteResult:
 # gradcheck suite
 
 
-def _random_grid_case(rng: np.random.Generator, h: int = 3, w: int = 4):
-    """Random logit pair + labels with a few invalid cells."""
-    valid = rng.uniform(size=(h, w)) > 0.2
-    if not valid.any():
-        valid[0, 0] = True
-    labels = rng.integers(NUM_CLASSES, size=(h, w)).astype(np.uint8)
-    labels[~valid] = 0
-    lab = CellLabelGrid(labels=labels, valid=valid)
-    zt = rng.normal(0.0, 2.0, size=(h, w, NUM_CLASSES))
-    zs = rng.normal(0.0, 2.0, size=(h, w, NUM_CLASSES))
-    return zt, zs, lab
+def _random_grid_case(rng: np.random.Generator, tie_free: bool = False, min_gap: float = 1e-4):
+    """Random 3x4 logit pair + labels with a few invalid cells.  With
+    ``tie_free`` the draw repeats while any per-class Lovasz error vector
+    has near-ties: the extension is piecewise linear and FD is undefined
+    across a tie."""
+    for _ in range(200):
+        valid = rng.uniform(size=(3, 4)) > 0.2
+        if not valid.any():
+            valid[0, 0] = True
+        labels = rng.integers(NUM_CLASSES, size=(3, 4)).astype(np.uint8)
+        labels[~valid] = 0
+        lab = CellLabelGrid(labels=labels, valid=valid)
+        zt = rng.normal(0.0, 2.0, size=(3, 4, NUM_CLASSES))
+        zs = rng.normal(0.0, 2.0, size=(3, 4, NUM_CLASSES))
+        if not tie_free or _lovasz_gap(zs, lab, min_gap):
+            return zt, zs, lab
+    raise RuntimeError("could not draw a tie-free instance")
 
 
 def _lovasz_gap(zs: np.ndarray, lab: CellLabelGrid, min_gap: float) -> bool:
@@ -141,72 +147,41 @@ def _lovasz_gap(zs: np.ndarray, lab: CellLabelGrid, min_gap: float) -> bool:
     return True
 
 
+def _loss_grad_error(
+    loss: Callable[[LogitGrid], losses.LossResult], zs: np.ndarray, valid: np.ndarray
+) -> float:
+    """FD check of ``loss`` with respect to the student logits ``zs``."""
+    analytic = loss(LogitGrid(zs.copy(), valid)).grad
+    numeric = finite_difference(lambda: loss(LogitGrid(zs.copy(), valid)).value, zs)
+    return grad_error(analytic, numeric)
+
+
 def check_wdcd_grad(rng: np.random.Generator, cfg: DistillConfig) -> float:
     zt, zs, lab = _random_grid_case(rng)
     tgrid = LogitGrid(scores=zt, valid=lab.valid)
-
-    def value() -> float:
-        return losses.wdcd_frame(tgrid, LogitGrid(zs.copy(), lab.valid), lab, cfg).value
-
-    analytic = losses.wdcd_frame(tgrid, LogitGrid(zs.copy(), lab.valid), lab, cfg).grad
-    numeric = finite_difference(value, zs)
-    return grad_error(analytic, numeric)
+    return _loss_grad_error(lambda s: losses.wdcd_frame(tgrid, s, lab, cfg), zs, lab.valid)
 
 
 def check_wce_grad(rng: np.random.Generator) -> float:
     _, zs, lab = _random_grid_case(rng)
     weights = rng.uniform(0.2, 2.0, size=NUM_CLASSES)
-
-    def value() -> float:
-        return losses.weighted_cross_entropy(
-            LogitGrid(zs.copy(), lab.valid), lab, weights
-        ).value
-
-    analytic = losses.weighted_cross_entropy(
-        LogitGrid(zs.copy(), lab.valid), lab, weights
-    ).grad
-    numeric = finite_difference(value, zs)
-    return grad_error(analytic, numeric)
+    return _loss_grad_error(
+        lambda s: losses.weighted_cross_entropy(s, lab, weights), zs, lab.valid
+    )
 
 
 def check_lovasz_grad(rng: np.random.Generator, min_gap: float = 1e-4) -> float:
-    # regenerate while any per-class error vector has near-ties; the
-    # extension is piecewise linear and FD is undefined across a tie
-    for _ in range(200):
-        _, zs, lab = _random_grid_case(rng)
-        if _lovasz_gap(zs, lab, min_gap):
-            break
-    else:
-        raise RuntimeError("could not draw a tie-free Lovasz instance")
-
-    def value() -> float:
-        return losses.lovasz_softmax(LogitGrid(zs.copy(), lab.valid), lab).value
-
-    analytic = losses.lovasz_softmax(LogitGrid(zs.copy(), lab.valid), lab).grad
-    numeric = finite_difference(value, zs)
-    return grad_error(analytic, numeric)
+    _, zs, lab = _random_grid_case(rng, tie_free=True, min_gap=min_gap)
+    return _loss_grad_error(lambda s: losses.lovasz_softmax(s, lab), zs, lab.valid)
 
 
 def check_total_grad(rng: np.random.Generator, cfg: DistillConfig, min_gap: float = 1e-4) -> float:
-    for _ in range(200):
-        zt, zs, lab = _random_grid_case(rng)
-        if _lovasz_gap(zs, lab, min_gap):
-            break
-    else:
-        raise RuntimeError("could not draw a tie-free instance")
+    zt, zs, lab = _random_grid_case(rng, tie_free=True, min_gap=min_gap)
     tgrid = LogitGrid(scores=zt, valid=lab.valid)
     weights = rng.uniform(0.2, 2.0, size=NUM_CLASSES)
-
-    def value() -> float:
-        return losses.total_loss(
-            LogitGrid(zs.copy(), lab.valid), tgrid, lab, cfg, weights
-        ).value
-
-    analytic = losses.total_loss(
-        LogitGrid(zs.copy(), lab.valid), tgrid, lab, cfg, weights
-    ).grad
-    numeric = finite_difference(value, zs)
-    return grad_error(analytic, numeric)
+    return _loss_grad_error(
+        lambda s: losses.total_loss(s, tgrid, lab, cfg, weights), zs, lab.valid
+    )
 
 
 def _layer_fd(layer, x: np.ndarray, rng: np.random.Generator) -> float:

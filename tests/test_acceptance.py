@@ -121,9 +121,9 @@ def test_criterion_5_alignment_consistency():
     )
     frames, _, poses, _ = gen_scene(static_cfg)
     seq = geometry.align_to_current(frames, poses, len(frames) - 1)
-    ref = seq.frames[0].cloud.xyz.astype(np.float64).mean(axis=0)
+    ref = seq[0].xyz.astype(np.float64).mean(axis=0)
     static_err = max(
-        float(np.linalg.norm(f.cloud.xyz.astype(np.float64).mean(axis=0) - ref)) for f in seq.frames[1:]
+        float(np.linalg.norm(c.xyz.astype(np.float64).mean(axis=0) - ref)) for c in seq[1:]
     )
 
     moving_cfg = SceneConfig(
@@ -136,10 +136,10 @@ def test_criterion_5_alignment_consistency():
     moving_err = 0.0
     for disc in truth.discs:
         lo, hi = disc.point_range
-        current = seq.frames[0].cloud.xyz[lo:hi, :2].astype(np.float64).mean(axis=0)
-        for frame in seq.frames[1:]:
-            past = frame.cloud.xyz[lo:hi, :2].astype(np.float64).mean(axis=0)
-            expected = disc.velocity * frame.time_step
+        current = seq[0].xyz[lo:hi, :2].astype(np.float64).mean(axis=0)
+        for steps_back, cloud in enumerate(seq[1:], start=1):
+            past = cloud.xyz[lo:hi, :2].astype(np.float64).mean(axis=0)
+            expected = disc.velocity * steps_back
             moving_err = max(
                 moving_err, float(np.linalg.norm((current - past) - expected))
             )

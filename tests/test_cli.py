@@ -12,7 +12,7 @@ import pytest
 from conftest import tiny_cli_args
 from mosdistill import cli, errors, nnet, pipeline, teacher
 from mosdistill.cli import main
-from mosdistill.metrics import read_metrics
+from mosdistill.metrics import read_metrics, write_metrics
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -148,6 +148,15 @@ class TestTrain:
         assert ckpt_a.read_bytes() == ckpt_b.read_bytes()
         assert log_a.read_text() == log_b.read_text()
         assert "wdcd=" in log_a.read_text()
+
+    def test_unwritable_log_exit_one(self, seq_dir, tmp_path, capsys):
+        log = tmp_path / "missing" / "train.log"
+        code = main(
+            ["train", "--seq", str(seq_dir), "--out-ckpt", str(tmp_path / "s.ckpt"),
+             "--epochs", "1", "--log", str(log), *tiny_cli_args()]
+        )
+        assert code == 1
+        assert f"cannot write log {log}: " in capsys.readouterr().err
 
     def test_distilled_logs_nonzero_wdcd(self, seq_dir, tmp_path):
         _, _, log_synth = self.train(seq_dir, tmp_path, "synth", ["--teacher", "synth"])
@@ -544,6 +553,62 @@ class TestBench:
         code = main(["bench", "--seq", str(seq_dir), "--frames", "0", *tiny_cli_args()])
         assert code == 1
         assert "argument --frames" in capsys.readouterr().err
+
+
+class TestShortSequence:
+    """A sequence shorter than the window fails the same way in every
+    command, before anything is written."""
+
+    ARGS = ["--set", "bev.window=8"]  # the tiny scene has 7 frames
+
+    def test_bench_exit_one(self, seq_dir, capsys):
+        code = main(["bench", "--seq", str(seq_dir), *tiny_cli_args(self.ARGS)])
+        assert code == 1
+        assert "7 frames, too short for a window of 8" in capsys.readouterr().err
+
+    def test_project_exit_one_before_writing(self, seq_dir, tmp_path, capsys):
+        out = tmp_path / "proj"
+        code = main(["project", "--seq", str(seq_dir), "--out", str(out),
+                     "--render", *tiny_cli_args(self.ARGS)])
+        assert code == 1
+        assert "7 frames, too short for a window of 8" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestStreaming:
+    """project and eval build and consume each frame in one pool task; they
+    never materialise the sample list."""
+
+    @staticmethod
+    def refuse_sample_list(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_samples called")
+
+        monkeypatch.setattr(pipeline, "build_samples", refuse)
+
+    def test_project(self, seq_dir, tmp_path, monkeypatch):
+        self.refuse_sample_list(monkeypatch)
+        trees = []
+        for threads in (1, 3):
+            out = tmp_path / f"p{threads}"
+            args = ["project", "--seq", str(seq_dir), "--out", str(out), "--render"]
+            assert main([*args, "--threads", str(threads), *tiny_cli_args()]) == 0
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1]
+        assert len([name for name in trees[0] if name.startswith("motion/")]) == 7 - (4 - 1)
+
+    def test_eval(self, seq_dir, tmp_path, zero_ckpt, tiny_config, monkeypatch):
+        # the summed per-frame counts give the report of the sample list
+        net = nnet.load_checkpoint(zero_ckpt)
+        samples = pipeline.build_samples(*pipeline.load_sequence(seq_dir), tiny_config)
+        write_metrics(pipeline.evaluate(net, samples), tmp_path / "expected.txt")
+        self.refuse_sample_list(monkeypatch)
+        for threads in (1, 3):
+            out = tmp_path / f"m{threads}.txt"
+            args = ["eval", "--seq", str(seq_dir), "--ckpt", str(zero_ckpt)]
+            args += ["--metrics-out", str(out), "--threads", str(threads)]
+            assert main([*args, *tiny_cli_args()]) == 0
+            assert out.read_bytes() == (tmp_path / "expected.txt").read_bytes()
 
 
 class TestBlasPin:

@@ -95,9 +95,10 @@ class TestAlignToCurrent:
         frames = [cloud_from_xyz([[k, 0, 0]], frame_id=k) for k in range(4)]
         poses = [Pose.identity()] * 4
         seq = geometry.align_to_current(frames, poses, 3)
-        assert [f.time_step for f in seq.frames] == [0, 1, 2, 3]
-        for aligned, orig in zip(seq.frames, reversed(frames)):
-            np.testing.assert_array_equal(aligned.cloud.xyz, orig.xyz)
+        # entry j is the frame j steps back
+        assert [c.frame_id for c in seq] == [3, 2, 1, 0]
+        for aligned, orig in zip(seq, reversed(frames)):
+            np.testing.assert_array_equal(aligned.xyz, orig.xyz)
 
     def test_static_world_point_coincides(self):
         # ego moved +1 m in x between frames; a static world point must
@@ -107,8 +108,8 @@ class TestAlignToCurrent:
         f1 = cloud_from_xyz([world - [1.0, 0.0, 0.0]], frame_id=1)  # ego at x=1
         poses = [Pose.identity(), Pose.from_rt(np.eye(3), [1.0, 0.0, 0.0])]
         seq = geometry.align_to_current([f0, f1], poses, 1)
-        current = seq.frames[0].cloud.xyz[0]
-        past = seq.frames[1].cloud.xyz[0]
+        current = seq[0].xyz[0]
+        past = seq[1].xyz[0]
         assert np.linalg.norm(past - current) < 1e-6
 
     def test_self_alignment_is_identity(self):
@@ -116,7 +117,8 @@ class TestAlignToCurrent:
         seq = geometry.align_to_current(
             [frame], [Pose.from_rt(rot_z(30), [1, 0, 0])], 0
         )
-        np.testing.assert_array_equal(seq.frames[0].cloud.xyz, frame.xyz)
+        assert len(seq) == 1
+        np.testing.assert_array_equal(seq[0].xyz, frame.xyz)
 
     def test_bad_index(self):
         frames = [cloud_from_xyz([[0, 0, 0]])]

@@ -141,6 +141,16 @@ class TestEvaluate:
             assert report[f"cell_iou_{name}"] == 1.0
         assert float(report["moving_iou"]) > 0.6
 
+    def test_no_samples_scores_every_absent_class_one(self):
+        net = nnet.build_network("student:in=4,base=8", seed=0)
+        zero_row = "0 0 0 0"
+        expected = {"absent_class_iou": 1.0, "moving_iou": 1.0}
+        for level in ("cell", "point"):
+            for name in ("unlabeled", "static", "movable", "moving"):
+                expected[f"{level}_iou_{name}"] = 1.0
+                expected[f"{level}_cm_{name}"] = zero_row
+        assert pipeline.evaluate(net, []) == expected
+
     def test_split_train_heldout(self):
         samples = list(range(10))
         train, held = pipeline.split_train_heldout(samples, 0.25)
@@ -276,13 +286,14 @@ class TestDegenerateWindows:
         np.testing.assert_array_equal(sample.height.values, values)
         np.testing.assert_array_equal(sample.height.occupancy, occupancy)
         aligned = geometry.align_to_current(clouds, poses, window - 1)
-        for frame in aligned.frames:
+        assert len(aligned) == window
+        for steps_back, cloud in enumerate(aligned):
             np.testing.assert_array_equal(
-                bev.project_to_cells(frame.cloud, grid).flat,
-                project_oracle(frame.cloud, grid),
+                bev.project_to_cells(cloud, grid).flat,
+                project_oracle(cloud, grid),
             )
-            source = clouds[window - 1 - frame.time_step]
-            np.testing.assert_array_equal(frame.cloud.intensity, source.intensity)
+            source = clouds[window - 1 - steps_back]
+            np.testing.assert_array_equal(cloud.intensity, source.intensity)
         assert sample.motion.channels.shape == (window, *grid.shape)
         assert np.isfinite(sample.motion.channels).all()
         if kinds[-1] in ("empty", "out_of_range"):

@@ -95,9 +95,9 @@ class TestAlignmentConsistency:
         cfg = small_cfg(ego_velocity=(0.5, -0.25), n_moving=0, n_static=500)
         frames, labels, poses, truth = gen_scene(cfg)
         seq = geometry.align_to_current(frames, poses, len(frames) - 1)
-        ref = seq.frames[0].cloud.xyz.astype(np.float64).mean(axis=0)
-        for frame in seq.frames[1:]:
-            err = np.linalg.norm(frame.cloud.xyz.astype(np.float64).mean(axis=0) - ref)
+        ref = seq[0].xyz.astype(np.float64).mean(axis=0)
+        for cloud in seq[1:]:
+            err = np.linalg.norm(cloud.xyz.astype(np.float64).mean(axis=0) - ref)
             assert err < 1e-6
 
     def test_moving_disc_displaces_by_speed_after_alignment(self):
@@ -112,10 +112,9 @@ class TestAlignmentConsistency:
         disc = truth.discs[0]
         lo, hi = disc.point_range
         seq = geometry.align_to_current(frames, poses, len(frames) - 1)
-        current = seq.frames[0].cloud.xyz[lo:hi, :2].astype(np.float64).mean(axis=0)
-        for frame in seq.frames[1:]:
-            dt = frame.time_step
-            past = frame.cloud.xyz[lo:hi, :2].astype(np.float64).mean(axis=0)
+        current = seq[0].xyz[lo:hi, :2].astype(np.float64).mean(axis=0)
+        for dt, cloud in enumerate(seq[1:], start=1):
+            past = cloud.xyz[lo:hi, :2].astype(np.float64).mean(axis=0)
             displacement = current - past
             np.testing.assert_allclose(displacement, disc.velocity * dt, atol=1e-5)
 
