@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import sys
 import time
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import bev, nnet, pipeline, teacher, verify
 from .config import RunConfig, documented_defaults
-from .errors import ConfigError, MosDistillError, NonFiniteLoss, write_file
+from .errors import ConfigError, MosDistillError, NonFiniteLoss, make_dirs, write_file
 from .metrics import write_metrics
 from .synthbench import export_kitti_sequence
 
@@ -132,6 +133,14 @@ def cmd_synth_gen(args) -> int:
     return EXIT_OK
 
 
+def _save_npy(path: Path, array: np.ndarray) -> None:
+    """``np.save`` through the file-error path: the same bytes, and an
+    OSError becomes IoFailure naming the file."""
+    data = io.BytesIO()
+    np.save(data, array)
+    write_file(path, data.getvalue(), "array")
+
+
 def cmd_project(args) -> int:
     cfg = _load_config(args)
     clouds, classes, poses = pipeline.load_sequence(args.seq)
@@ -141,10 +150,10 @@ def cmd_project(args) -> int:
         # made by the frames, so a sequence shorter than the window leaves no directory
         name = f"{sample.frame_id:06d}"
         for sub in ["motion", "cell_labels", "cell_valid"] + (["render"] if args.render else []):
-            (out / sub).mkdir(parents=True, exist_ok=True)
-        np.save(out / "motion" / f"{name}.npy", sample.motion.channels.astype(np.float32))
-        np.save(out / "cell_labels" / f"{name}.npy", sample.labels.labels)
-        np.save(out / "cell_valid" / f"{name}.npy", sample.labels.valid)
+            make_dirs(out / sub, "output directory")
+        _save_npy(out / "motion" / f"{name}.npy", sample.motion.channels.astype(np.float32))
+        _save_npy(out / "cell_labels" / f"{name}.npy", sample.labels.labels)
+        _save_npy(out / "cell_valid" / f"{name}.npy", sample.labels.valid)
         if args.render:
             bev.write_pgm(sample.height.values, out / "render" / f"{name}_height.pgm")
             for k, channel in enumerate(sample.motion.channels):
@@ -237,7 +246,7 @@ def cmd_export_logits(args) -> int:
     def export(sample: pipeline.FrameSample) -> None:
         grid = pipeline.predict_logits(net, sample)
         # made by the frames, so a sequence shorter than the window leaves no directory
-        out.mkdir(parents=True, exist_ok=True)
+        make_dirs(out, "logits directory")
         teacher.write_logits(grid, out / teacher.logits_filename(sample.frame_id))
 
     n = len(pipeline.map_windows(clouds, classes, poses, cfg, export, args.threads))

@@ -7,6 +7,7 @@ Each class carries its CLI exit code: 1 config, usage or I/O, 2 malformed
 or mismatched data, 3 numeric failure.
 """
 
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -26,23 +27,35 @@ class IoFailure(MosDistillError):
     """A file could not be opened, read, or written."""
 
 
+@contextmanager
+def _file_errors(verb: str, what: str, path):
+    """The one file-error path: an OSError inside the block becomes
+    IoFailure ``cannot <verb> <what> <path>: <reason>``."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoFailure(f"cannot {verb} {what} {path}: {exc}") from exc
+
+
 def read_file(path, what: str, text: bool = False) -> bytes | str:
     """``path``'s bytes, or its text; an OSError becomes IoFailure naming ``what``."""
-    try:
+    with _file_errors("read", what, path):
         return Path(path).read_text() if text else Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
 
 
 def write_file(path, data: bytes | str, what: str) -> None:
     """Write text or bytes to ``path``; an OSError becomes IoFailure naming ``what``."""
-    try:
+    with _file_errors("write", what, path):
         if isinstance(data, str):
             Path(path).write_text(data)
         else:
             Path(path).write_bytes(data)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {what} {path}: {exc}") from exc
+
+
+def make_dirs(path, what: str) -> None:
+    """``mkdir -p path``; an OSError becomes IoFailure naming ``what``."""
+    with _file_errors("write", what, path):
+        Path(path).mkdir(parents=True, exist_ok=True)
 
 
 class MalformedScan(DataError):

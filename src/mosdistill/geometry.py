@@ -23,8 +23,13 @@ def transform_points(cloud: PointCloud, pose: Pose) -> PointCloud:
     r = pose.matrix[:3, :3]
     t = pose.matrix[:3, 3]
     pts = cloud.points
+    # float64 coordinates, one contiguous row per axis: copying column by
+    # column is faster than converting the transposed strided view
+    xyz = np.empty((3, len(cloud)))
+    for k in range(3):
+        xyz[k] = pts[:, k]
     buf = np.empty((4, len(cloud)))
-    np.matmul(r, pts[:, :3].T.astype(np.float64, copy=False), out=buf[:3])
+    np.matmul(r, xyz, out=buf[:3])
     buf[:3] += t[:, None]
     buf[3] = pts[:, 3]
     return PointCloud(points=buf.T, frame_id=cloud.frame_id)

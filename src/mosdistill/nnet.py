@@ -10,6 +10,10 @@ so an in-place SGD update is seen by the next forward of either width.
 Training, its backward and the gradient checks run in float64; inference
 (``pipeline.predict_logits``) runs in float32.
 
+``Network.backward`` consumes the caches of the training forward: it pops
+each layer's cache as it uses it, so activations are freed layer by layer
+and the list is empty afterwards.
+
 Convolutions are flat-shift convolutions (see ``Conv2d``): each tap is one
 GEMM on a contiguous window of the padded input, with no per-tap copy.
 Their summation order differs from the per-tap ``tensordot`` of earlier
@@ -413,9 +417,15 @@ class Network:
         return x, caches
 
     def backward(self, gout: np.ndarray, caches: list) -> tuple[np.ndarray, dict]:
+        """Backpropagate ``gout``; return the input and parameter gradients.
+
+        Consumes ``caches``: each layer's cache is popped off the list as
+        the layer uses it, so a cache is freed as soon as its layer is done
+        and the list is empty on return.
+        """
         grads: dict[str, np.ndarray] = {}
-        for (name, layer), cache in zip(reversed(self.layers), reversed(caches)):
-            gout, pgrads = layer.backward(gout, cache)
+        for name, layer in reversed(self.layers):
+            gout, pgrads = layer.backward(gout, caches.pop())
             for pname, g in pgrads.items():
                 grads[f"{name}.{pname}"] = g
         return gout, grads

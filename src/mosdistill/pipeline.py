@@ -286,6 +286,13 @@ def train_student(
 ) -> list[EpochLog]:
     """SGD training with the composed loss; deterministic per seed.
 
+    Within a mini-batch, one helper thread runs the forward and loss of
+    sample j+1 while the calling thread runs the backward of sample j; the
+    helper is never more than one sample ahead.  Gradients and loss parts
+    are summed on the calling thread in sample order, and parameters change
+    only at the optimizer step after the whole batch, so the results are
+    those of the serial loop, bit for bit.
+
     Raises ConfigError when ``epochs`` is below 1 (zero epochs would leave
     the weights untrained), NonFiniteLoss (with the offending frame id) the
     moment a loss stops being finite, and EmptyFrame naming the frame that
@@ -308,54 +315,55 @@ def train_student(
     rng = np.random.default_rng(cfg.get_int("train.seed") + 1)
     params = net.parameters()
     logs: list[EpochLog] = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(train))
-        sums = {"wce": 0.0, "lovasz": 0.0, "wdcd": 0.0, "total": 0.0}
-        for start in range(0, len(order), batch_size):
-            batch = [train[i] for i in order[start : start + batch_size]]
-            grads = {name: np.zeros_like(p) for name, p in params.items()}
-            for sample in batch:
-                logits, caches = student_forward(net, sample)
-                try:
-                    result = losses.total_loss(
-                        logits,
-                        sample.teacher_logits,
-                        sample.labels,
-                        dcfg,
-                        class_weights,
-                        lovasz_classes,
-                    )
-                except EmptyFrame as exc:
-                    raise EmptyFrame(f"no valid cells in frame {sample.frame_id}") from exc
-                if not np.isfinite(result.value):
-                    raise NonFiniteLoss(
-                        f"non-finite loss at frame {sample.frame_id}",
-                        frame_id=sample.frame_id,
-                    )
-                _, pgrads = net.backward(
-                    np.transpose(result.grad, (2, 0, 1)), caches
-                )
-                for name in grads:
-                    grads[name] += pgrads[name] / len(batch)
-                for key in ("wce", "lovasz", "wdcd"):
-                    sums[key] += result.parts[key]
-                sums["total"] += result.value
-            state.step(params, grads)
-        lr_logged = state.lr
-        state.end_epoch()
-        hiou = evaluate(net, heldout)["point_iou_moving"] if heldout else float("nan")
-        log = EpochLog(
-            epoch=epoch,
-            lr=lr_logged,
-            wce=sums["wce"] / len(train),
-            lovasz=sums["lovasz"] / len(train),
-            wdcd=sums["wdcd"] / len(train),
-            total=sums["total"] / len(train),
-            heldout_moving_iou=hiou,
-        )
-        logs.append(log)
-        if progress is not None:
-            progress(log.format())
+
+    def forward_loss(sample: FrameSample) -> tuple[losses.LossResult, list]:
+        logits, caches = student_forward(net, sample)
+        try:
+            result = losses.total_loss(
+                logits, sample.teacher_logits, sample.labels, dcfg, class_weights, lovasz_classes
+            )
+        except EmptyFrame as exc:
+            raise EmptyFrame(f"no valid cells in frame {sample.frame_id}") from exc
+        if not np.isfinite(result.value):
+            raise NonFiniteLoss(
+                f"non-finite loss at frame {sample.frame_id}", frame_id=sample.frame_id
+            )
+        return result, caches
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for epoch in range(epochs):
+            order = rng.permutation(len(train))
+            sums = {"wce": 0.0, "lovasz": 0.0, "wdcd": 0.0, "total": 0.0}
+            for start in range(0, len(order), batch_size):
+                batch = [train[i] for i in order[start : start + batch_size]]
+                grads = {name: np.zeros_like(p) for name, p in params.items()}
+                ahead = None
+                for k, sample in enumerate(batch):
+                    result, caches = forward_loss(sample) if ahead is None else ahead.result()
+                    if k + 1 < len(batch):
+                        ahead = helper.submit(forward_loss, batch[k + 1])
+                    _, pgrads = net.backward(np.transpose(result.grad, (2, 0, 1)), caches)
+                    for name in grads:
+                        grads[name] += pgrads[name] / len(batch)
+                    for key in ("wce", "lovasz", "wdcd"):
+                        sums[key] += result.parts[key]
+                    sums["total"] += result.value
+                state.step(params, grads)
+            lr_logged = state.lr
+            state.end_epoch()
+            hiou = evaluate(net, heldout)["point_iou_moving"] if heldout else float("nan")
+            log = EpochLog(
+                epoch=epoch,
+                lr=lr_logged,
+                wce=sums["wce"] / len(train),
+                lovasz=sums["lovasz"] / len(train),
+                wdcd=sums["wdcd"] / len(train),
+                total=sums["total"] / len(train),
+                heldout_moving_iou=hiou,
+            )
+            logs.append(log)
+            if progress is not None:
+                progress(log.format())
     return logs
 
 
@@ -379,11 +387,10 @@ def confusion_report(counts: list[np.ndarray]) -> dict[str, object]:
     return metrics.metrics_report(*(metrics.ConfusionMatrix(cm) for cm in total))
 
 
-def evaluate(
-    net: nnet.Network, samples: list[FrameSample], threads: int = 1
-) -> dict[str, object]:
-    """Cell-level and point-level IoU report over the given samples."""
-    return confusion_report(map_frames(lambda s: frame_confusion(net, s), samples, threads))
+def evaluate(net: nnet.Network, samples: list[FrameSample]) -> dict[str, object]:
+    """Cell-level and point-level IoU report over the given samples,
+    predicted one after another on the calling thread."""
+    return confusion_report([frame_confusion(net, s) for s in samples])
 
 
 def split_train_heldout(

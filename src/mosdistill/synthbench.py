@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, make_dirs
 from .kitti_io import (
     CLASS_MOVABLE,
     CLASS_MOVING,
@@ -211,8 +211,8 @@ def export_kitti_sequence(
     """
     frames, labels, poses = gen_sequence(cfg)
     seq_dir = Path(seq_dir)
-    (seq_dir / "velodyne").mkdir(parents=True, exist_ok=True)
-    (seq_dir / "labels").mkdir(parents=True, exist_ok=True)
+    make_dirs(seq_dir / "velodyne", "sequence directory")
+    make_dirs(seq_dir / "labels", "sequence directory")
     calib = calib if calib is not None else Calibration.identity()
     for cloud, classes in zip(frames, labels):
         write_scan(cloud, seq_dir / "velodyne" / f"{cloud.frame_id:06d}.bin")

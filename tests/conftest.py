@@ -6,6 +6,8 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,16 @@ TINY_OVERRIDES = {
     "scene.n_static": "400",
     "scene.points_per_disc": "30",
 }
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_behind():
+    """Fail any test that leaves a new live thread behind, such as a pool
+    or training helper that was never shut down."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left alive: {left}"
 
 
 @pytest.fixture

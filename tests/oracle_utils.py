@@ -2,10 +2,15 @@
 
 These deliberately avoid the production code paths: plain Python loops,
 dict accumulation, nested convolution loops.  They share only numpy's
-scalar arithmetic with the implementations under test.
+scalar arithmetic with the implementations under test.  The one exception
+is ``serial_train_oracle``, an oracle for the order of the training loop
+rather than its math: it calls the production forward, loss, backward and
+optimizer one after another on one thread.
 """
 
 import numpy as np
+
+from mosdistill import losses, nnet, pipeline
 
 
 def project_oracle(cloud, grid):
@@ -213,3 +218,52 @@ def dcd(z_teacher, z_student, t, cfg):
     if cfg.tckd_scope == "all" or t == 3:
         value += tckd(z_teacher, z_student, t, tau, floor)
     return value
+
+
+def serial_train_oracle(net, train, heldout, cfg, epochs):
+    """The training loop, fully serial: per sample a forward, the loss and
+    a backward, gradients and loss parts summed in sample order, then one
+    SGD step per mini-batch.  Returns the epoch logs and the SgdState."""
+    dcfg, class_weights, lovasz_classes = cfg.distill(), cfg.class_weights(), cfg.lovasz_classes()
+    state = nnet.SgdState(
+        lr=cfg.get_float("opt.lr"),
+        momentum=cfg.get_float("opt.momentum"),
+        weight_decay=cfg.get_float("opt.weight_decay"),
+        lr_decay=cfg.get_float("opt.lr_decay"),
+    )
+    batch_size = cfg.get_int("train.batch_size")
+    rng = np.random.default_rng(cfg.get_int("train.seed") + 1)
+    params = net.parameters()
+    logs = []
+    for epoch in range(epochs):
+        order = rng.permutation(len(train))
+        sums = {"wce": 0.0, "lovasz": 0.0, "wdcd": 0.0, "total": 0.0}
+        for start in range(0, len(order), batch_size):
+            batch = [train[i] for i in order[start : start + batch_size]]
+            grads = {name: np.zeros_like(p) for name, p in params.items()}
+            for sample in batch:
+                logits, caches = pipeline.student_forward(net, sample)
+                result = losses.total_loss(
+                    logits, sample.teacher_logits, sample.labels, dcfg, class_weights, lovasz_classes
+                )
+                _, pgrads = net.backward(np.transpose(result.grad, (2, 0, 1)), caches)
+                for name in grads:
+                    grads[name] += pgrads[name] / len(batch)
+                for key in ("wce", "lovasz", "wdcd"):
+                    sums[key] += result.parts[key]
+                sums["total"] += result.value
+            state.step(params, grads)
+        lr = state.lr
+        state.end_epoch()
+        logs.append(
+            pipeline.EpochLog(
+                epoch=epoch,
+                lr=lr,
+                wce=sums["wce"] / len(train),
+                lovasz=sums["lovasz"] / len(train),
+                wdcd=sums["wdcd"] / len(train),
+                total=sums["total"] / len(train),
+                heldout_moving_iou=pipeline.evaluate(net, heldout)["point_iou_moving"],
+            )
+        )
+    return logs, state

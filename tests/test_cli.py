@@ -654,6 +654,37 @@ class TestDeterminism:
         assert outs[0] == outs[2]
 
 
+class TestOutputUnderAFile:
+    """An output path under a regular file exits 1 with an ``error:`` line
+    naming what could not be written, not a traceback."""
+
+    @staticmethod
+    def run(argv, capsys, what, path):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {what} {path}: ")
+        assert "Not a directory" in err
+
+    def test_project(self, seq_dir, tmp_path, capsys):
+        (tmp_path / "afile").touch()
+        out = tmp_path / "afile" / "p"
+        argv = ["project", "--seq", str(seq_dir), "--out", str(out), *tiny_cli_args()]
+        self.run(argv, capsys, "output directory", out / "motion")
+
+    def test_export_logits(self, seq_dir, zero_ckpt, tmp_path, capsys):
+        (tmp_path / "afile").touch()
+        out = tmp_path / "afile" / "x"
+        argv = ["export-logits", "--ckpt", str(zero_ckpt), "--seq", str(seq_dir),
+                "--out", str(out), *tiny_cli_args()]
+        self.run(argv, capsys, "logits directory", out)
+
+    def test_synth_gen(self, tmp_path, capsys):
+        (tmp_path / "afile").touch()
+        out = tmp_path / "afile" / "y"
+        argv = ["synth-gen", "--out", str(out), "--set", "scene.n_frames=2"]
+        self.run(argv, capsys, "sequence directory", out / "sequences" / "00" / "velodyne")
+
+
 class TestExitCodes:
     # the documented contract: 1 config or usage, 2 data parse, 3 numeric
     EXPECTED = {

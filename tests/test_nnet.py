@@ -264,6 +264,13 @@ class TestNetwork:
             arr = net.parameters()[name]
             assert grad_error(pgrads[name], finite_difference(value, arr)) < 1e-4
 
+    def test_backward_consumes_the_caches(self, rng):
+        net = nnet.build_network("student:in=2,base=2", seed=3)
+        _, caches = net.forward(rng.normal(size=(2, 4, 4)))
+        assert len(caches) == len(net.layers)
+        net.backward(rng.normal(size=(4, 4, 4)), caches)
+        assert caches == []
+
     def test_inference_forward_is_bit_equal_and_cache_free(self, rng):
         net = nnet.build_network("teacher:in=4,base=8", seed=5)
         x = rng.normal(size=(4, 16, 36))

@@ -1,4 +1,6 @@
 import shutil
+import sys
+import threading
 import time
 
 import numpy as np
@@ -7,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mosdistill import bev, geometry, metrics, nnet, pipeline
-from mosdistill.errors import ConfigError
+from mosdistill.errors import ConfigError, EmptyFrame
 from mosdistill.kitti_io import CLASS_UNLABELED, PointCloud, Pose
 from mosdistill.synthbench import gen_sequence
-from oracle_utils import height_oracle, project_oracle
+from oracle_utils import height_oracle, project_oracle, serial_train_oracle
 
 
 @pytest.fixture
@@ -208,6 +210,63 @@ class TestTraining:
         logs = pipeline.train_student(net, samples, [], tiny_config, epochs=6)
         assert logs[-1].total < logs[0].total
         assert all(np.isfinite(l.total) for l in logs)
+
+    @pytest.mark.parametrize("switch_s", [None, 1e-6])
+    def test_overlapped_step_equals_serial_oracle(self, tiny_config, monkeypatch, switch_s):
+        # switch_s: a short interpreter switch interval interleaves the
+        # helper's forward and the calling thread's backward finely
+        tiny_config.set("scene.n_frames", "10")  # 7 windows of 4 frames
+        tiny_config.set("train.batch_size", "3")  # the last batch holds 1 sample
+        samples = pipeline.build_samples(*gen_sequence(tiny_config.scene()), tiny_config)
+        assert len(samples) == 7
+        pipeline.attach_synth_teacher(samples, 10.0, 0.5, seed=0)
+        heldout = samples[:2]
+        descriptor = pipeline.student_descriptor(tiny_config)
+
+        states = []
+        step = nnet.SgdState.step
+
+        def spy(state, params, grads):
+            states.append(state)
+            step(state, params, grads)
+
+        net = nnet.build_network(descriptor, seed=0)
+        interval = sys.getswitchinterval()
+        with monkeypatch.context() as m:
+            m.setattr(nnet.SgdState, "step", spy)
+            try:
+                sys.setswitchinterval(switch_s or interval)
+                logs = pipeline.train_student(net, samples, heldout, tiny_config, epochs=2)
+            finally:
+                sys.setswitchinterval(interval)
+        assert len(states) == 6 and all(s is states[0] for s in states)
+
+        ref = nnet.build_network(descriptor, seed=0)
+        ref_logs, ref_state = serial_train_oracle(ref, samples, heldout, tiny_config, 2)
+        assert logs == ref_logs
+        params, ref_params = net.parameters(), ref.parameters()
+        assert set(states[0].velocity) == set(ref_state.velocity) == set(params)
+        for name in params:
+            assert params[name].tobytes() == ref_params[name].tobytes(), name
+            assert states[0].velocity[name].tobytes() == ref_state.velocity[name].tobytes(), name
+
+    def test_empty_second_sample_raises_and_joins_the_helper(self, loaded, tiny_config):
+        samples = pipeline.build_samples(*loaded, tiny_config)  # 4 samples, batch 2
+        pipeline.attach_synth_teacher(samples, 10.0, 0.5, seed=0)
+        # the second sample of the first batch, in train_student's shuffled order
+        order = np.random.default_rng(tiny_config.get_int("train.seed") + 1).permutation(4)
+        victim = samples[order[1]]
+        victim.labels = bev.CellLabelGrid(
+            labels=victim.labels.labels, valid=np.zeros_like(victim.labels.valid)
+        )
+        net = nnet.build_network(pipeline.student_descriptor(tiny_config), seed=0)
+        before = {name: p.copy() for name, p in net.parameters().items()}
+        threads = set(threading.enumerate())
+        with pytest.raises(EmptyFrame, match=f"^no valid cells in frame {victim.frame_id}$"):
+            pipeline.train_student(net, samples, [], tiny_config, epochs=1)
+        assert set(threading.enumerate()) == threads
+        for name, p in net.parameters().items():
+            np.testing.assert_array_equal(p, before[name])
 
     @pytest.mark.parametrize("epochs", [0, -2])
     def test_epochs_below_one_raise_config_error(self, loaded, tiny_config, epochs):
