@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bev, nnet, pipeline, teacher, verify
-from .config import RunConfig, documented_defaults
+from .config import RunConfig, checked, documented_defaults, positive_int
 from .errors import ConfigError, MosDistillError, NonFiniteLoss, make_dirs, write_file
 from .metrics import write_metrics
 from .synthbench import export_kitti_sequence
@@ -31,18 +31,6 @@ EXIT_NUMERIC = NonFiniteLoss.exit_code
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors map to exit 1, not argparse's 2
         raise ConfigError(message)
-
-
-def positive_int(text: str) -> int:
-    """argparse type of every count argument (``--threads``, ``--frames``,
-    ``--epochs``, and the benchmark script's ``--seeds``): an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -185,11 +173,12 @@ def _resolve_teacher(args, cfg: RunConfig, samples) -> RunConfig:
         cfg.set("distill.gamma", "0")
         return cfg
     if args.teacher == "synth":
-        pipeline.attach_synth_teacher(
+        checked(
+            pipeline.attach_synth_teacher,
             samples,
-            cfg.get_float("teacher.kappa"),
-            cfg.get_float("teacher.sigma"),
-            seed=cfg.get_int("train.seed"),
+            cfg.get("teacher.kappa"),
+            cfg.get("teacher.sigma"),
+            seed=cfg.get("train.seed"),
         )
         return cfg
     pipeline.attach_file_teacher(samples, args.teacher)
@@ -198,16 +187,12 @@ def _resolve_teacher(args, cfg: RunConfig, samples) -> RunConfig:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    epochs = args.epochs if args.epochs is not None else cfg.get_int("train.epochs")
+    epochs = args.epochs if args.epochs is not None else cfg.get("train.epochs")
     clouds, classes, poses = _load_labeled_sequence(args)
     samples = pipeline.build_samples(clouds, classes, poses, cfg, threads=args.threads)
-    train, heldout = pipeline.split_train_heldout(
-        samples, cfg.get_float("train.val_fraction")
-    )
+    train, heldout = pipeline.split_train_heldout(samples, cfg.get("train.val_fraction"))
     cfg = _resolve_teacher(args, cfg, train)
-    net = nnet.build_network(
-        pipeline.student_descriptor(cfg), seed=cfg.get_int("train.seed")
-    )
+    net = nnet.build_network(pipeline.student_descriptor(cfg), seed=cfg.get("train.seed"))
     lines: list[str] = []
 
     def progress(line: str) -> None:
@@ -269,9 +254,7 @@ def cmd_bench(args) -> int:
     cfg = _load_config(args)
     clouds, classes, poses = pipeline.load_sequence(args.seq)
     idxs, build = pipeline.windows(clouds, classes, poses, cfg)
-    net = nnet.build_network(
-        pipeline.student_descriptor(cfg), seed=cfg.get_int("train.seed")
-    )
+    net = nnet.build_network(pipeline.student_descriptor(cfg), seed=cfg.get("train.seed"))
     proj_ms: list[float] = []
     infer_ms: list[float] = []
     for k in range(args.frames):

@@ -1,13 +1,17 @@
 """Flat key=value run configuration.
 
 One line per key, ``key = value``, ``#`` comments allowed.  Unknown keys
-are rejected so typos fail loudly; every key has a documented default.
-The flat format keeps experiment-log diffs line-oriented.
+are rejected so typos fail loudly; every key has a documented default and
+a parser, which runs when the value is set, so a value that does not parse
+is a ConfigError before any data is read.  The flat format keeps
+experiment-log diffs line-oriented.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from argparse import ArgumentTypeError
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -15,70 +19,147 @@ import numpy as np
 from .bev import BevGrid
 from .errors import ConfigError, read_file
 from .losses import DistillConfig
+from .nnet import SgdState
 from .synthbench import SceneConfig
+
+# Each parser returns the typed value or raises ValueError naming what the
+# value must be; RunConfig.set turns that into "<key> must be <what>, got <value>".
+
+
+def _as(convert: Callable[[str], object], what: str) -> Callable[[str], object]:
+    def parse(text: str) -> object:
+        try:
+            return convert(text)
+        except (ValueError, KeyError):
+            raise ValueError(what) from None
+
+    return parse
+
+
+def _number(text: str) -> float:
+    value = float(text)
+    if np.isnan(value):  # nan passes every range check, then poisons training
+        raise ValueError(text)
+    return value
+
+
+_FLAGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+_int = _as(int, "an integer")
+_float = _as(_number, "a number")
+_flag = _as(lambda text: _FLAGS[text.lower()], "true or false")
+
+
+def _at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        value = _int(text)
+        if value < low:
+            raise ValueError(f">= {low}")
+        return value
+
+    return parse
+
+
+_count = _at_least(1)
+_seed = _at_least(0)
+_floats = _as(
+    lambda text: tuple(_number(tok) for tok in text.split(",")), "comma-separated numbers"
+)
+_ints = _as(
+    lambda text: tuple(int(tok) for tok in text.split(",")) if text.strip() else (),
+    "comma-separated integers",
+)
+_auto_or_float = _as(lambda text: None if text == "auto" else _number(text), "auto or a number")
+
+
+def positive_int(text: str) -> int:
+    """The count parser (an integer >= 1) as the argparse type of every
+    count flag: ``--threads``, ``--frames``, ``--epochs`` and the benchmark
+    script's ``--seeds``."""
+    try:
+        return _count(text)
+    except ValueError:
+        raise ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
 
 
 @dataclass(frozen=True)
 class _Key:
     default: str
     doc: str
+    parse: Callable[[str], object]
 
 
 # epochs: 150 is the documented full-scale value; desk-scale synthetic runs
 # pass --epochs to scale down.
 CONFIG_KEYS: dict[str, _Key] = {
-    "bev.n_radial": _Key("32", "radial bins"),
-    "bev.n_angular": _Key("360", "angular bins"),
-    "bev.r_max": _Key("50.0", "projection range in meters"),
-    "bev.z_min": _Key("-4.0", "lower z cut (exclusive)"),
-    "bev.z_max": _Key("2.0", "upper z cut (exclusive)"),
-    "bev.window": _Key("8", "frames per motion tensor"),
-    "bev.split": _Key("4", "newer-window length"),
+    "bev.n_radial": _Key("32", "radial bins", _int),
+    "bev.n_angular": _Key("360", "angular bins", _int),
+    "bev.r_max": _Key("50.0", "projection range in meters", _float),
+    "bev.z_min": _Key("-4.0", "lower z cut (exclusive)", _float),
+    "bev.z_max": _Key("2.0", "upper z cut (exclusive)", _float),
+    "bev.window": _Key("8", "frames per motion tensor", _int),
+    "bev.split": _Key("4", "newer-window length", _int),
     "bev.appearance_channels": _Key(
-        "false", "append raw per-frame height images to the motion tensor"
+        "false", "append raw per-frame height images to the motion tensor", _flag
     ),
-    "distill.temperature": _Key("1.0", "softmax temperature for distillation"),
-    "distill.beta": _Key("1.0", "weight of the non-target term"),
-    "distill.gamma": _Key("0.25", "weight of the distillation loss in the total"),
+    "distill.temperature": _Key("1.0", "softmax temperature for distillation", _float),
+    "distill.beta": _Key("1.0", "weight of the non-target term", _float),
+    "distill.gamma": _Key("0.25", "weight of the distillation loss in the total", _float),
     "distill.weight_floor": _Key(
-        "auto", "floor for frame class shares; auto = 1 / valid cells"
+        "auto", "floor for frame class shares; auto = 1 / valid cells", _auto_or_float
     ),
-    "distill.prob_floor": _Key("1e-12", "floor inside logs"),
     "distill.tckd_scope": _Key(
-        "moving", "labels receiving the target-class term: moving | all"
+        "moving", "labels receiving the target-class term: moving | all", str
     ),
-    "teacher.kappa": _Key("10.0", "synthetic teacher confidence"),
-    "teacher.sigma": _Key("1.0", "synthetic teacher logit noise"),
-    "net.base_width": _Key("16", "student channel width; teacher doubles it"),
-    "opt.lr": _Key("0.005", "initial learning rate"),
-    "opt.momentum": _Key("0.9", "SGD momentum"),
-    "opt.weight_decay": _Key("0.0001", "coupled weight decay"),
-    "opt.lr_decay": _Key("0.99", "learning-rate factor applied after each epoch"),
-    "train.epochs": _Key("150", "full-scale epoch count (see --epochs)"),
-    "train.batch_size": _Key("8", "frames per optimizer step"),
-    "train.seed": _Key("0", "master seed for init, shuffling, synth teacher"),
-    "train.val_fraction": _Key("0.25", "trailing fraction of frames held out"),
-    "train.class_weights": _Key("0,1,1,1", "cross-entropy weight per class"),
-    "train.lovasz_classes": _Key("1,2,3", "classes included in the Lovasz term"),
-    "scene.n_frames": _Key("8", "synthetic sequence length"),
-    "scene.n_moving": _Key("2", "moving discs"),
-    "scene.n_static_movable": _Key("3", "parked (movable) discs"),
-    "scene.n_static": _Key("2000", "background scatter points"),
-    "scene.radius_min": _Key("1.0", "smallest disc radius, meters"),
-    "scene.radius_max": _Key("3.0", "largest disc radius, meters"),
-    "scene.speed_min": _Key("0.5", "slowest disc speed, m/frame"),
-    "scene.speed_max": _Key("1.5", "fastest disc speed, m/frame"),
-    "scene.points_per_disc": _Key("50", "points sprinkled on each disc"),
-    "scene.ego_vx": _Key("0.5", "ego velocity x, m/frame"),
-    "scene.ego_vy": _Key("0.0", "ego velocity y, m/frame"),
-    "scene.arena_radius": _Key("40.0", "world radius, meters"),
-    "scene.seed": _Key("0", "scene generator seed"),
+    "teacher.kappa": _Key("10.0", "synthetic teacher confidence", _float),
+    "teacher.sigma": _Key("1.0", "synthetic teacher logit noise", _float),
+    "net.base_width": _Key("16", "student channel width; teacher doubles it", _count),
+    "opt.lr": _Key("0.005", "initial learning rate", _float),
+    "opt.momentum": _Key("0.9", "SGD momentum", _float),
+    "opt.weight_decay": _Key("0.0001", "coupled weight decay", _float),
+    "opt.lr_decay": _Key("0.99", "learning-rate factor applied after each epoch", _float),
+    "train.epochs": _Key("150", "full-scale epoch count (see --epochs)", _count),
+    "train.batch_size": _Key("8", "frames per optimizer step", _count),
+    "train.seed": _Key("0", "master seed for init, shuffling, synth teacher", _seed),
+    "train.val_fraction": _Key("0.25", "trailing fraction of frames held out", _float),
+    "train.class_weights": _Key("0,1,1,1", "cross-entropy weight per class", _floats),
+    "train.lovasz_classes": _Key("1,2,3", "classes included in the Lovasz term", _ints),
+    "scene.n_frames": _Key("8", "synthetic sequence length", _int),
+    "scene.n_moving": _Key("2", "moving discs", _int),
+    "scene.n_static_movable": _Key("3", "parked (movable) discs", _int),
+    "scene.n_static": _Key("2000", "background scatter points", _int),
+    "scene.radius_min": _Key("1.0", "smallest disc radius, meters", _float),
+    "scene.radius_max": _Key("3.0", "largest disc radius, meters", _float),
+    "scene.speed_min": _Key("0.5", "slowest disc speed, m/frame", _float),
+    "scene.speed_max": _Key("1.5", "fastest disc speed, m/frame", _float),
+    "scene.points_per_disc": _Key("50", "points sprinkled on each disc", _int),
+    "scene.ego_vx": _Key("0.5", "ego velocity x, m/frame", _float),
+    "scene.ego_vy": _Key("0.0", "ego velocity y, m/frame", _float),
+    "scene.arena_radius": _Key("40.0", "world radius, meters", _float),
+    "scene.seed": _Key("0", "scene generator seed", _seed),
 }
+
+
+def checked(make: Callable, *args, **kwargs):
+    """``make(*args, **kwargs)`` for an object built from config values;
+    the ValueError of its range checks is raised as ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
 class RunConfig:
+    """Each key's text as set (what ``dump`` writes) and its parsed value
+    (what ``get`` returns)."""
+
     values: dict[str, str]
+
+    def __post_init__(self) -> None:
+        self._parsed: dict[str, object] = {}
+        for key, value in self.values.items():
+            self.set(key, value)
 
     @classmethod
     def defaults(cls) -> "RunConfig":
@@ -101,112 +182,57 @@ class RunConfig:
     def set(self, key: str, value: str) -> None:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        try:
+            self._parsed[key] = CONFIG_KEYS[key].parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key} must be {exc}, got {value}") from None
         self.values[key] = value
 
-    # typed getters -------------------------------------------------------
+    def get(self, key: str):
+        """The value of ``key`` as its parser typed it."""
+        return self._parsed[key]
 
-    def get_str(self, key: str) -> str:
-        return self.values[key]
-
-    def get_int(self, key: str) -> int:
-        try:
-            return int(self.values[key])
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be an integer: {exc}") from exc
-
-    def get_float(self, key: str) -> float:
-        try:
-            return float(self.values[key])
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be a number: {exc}") from exc
-
-    def get_bool(self, key: str) -> bool:
-        value = self.values[key].lower()
-        if value in ("true", "1", "yes"):
-            return True
-        if value in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-
-    def get_float_list(self, key: str) -> list[float]:
-        try:
-            return [float(tok) for tok in self.values[key].split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be comma-separated numbers") from exc
-
-    def get_int_list(self, key: str) -> list[int]:
-        raw = self.values[key].strip()
-        if not raw:
-            return []
-        try:
-            return [int(tok) for tok in raw.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be comma-separated integers") from exc
+    get_int = get  # the name perfbench's workloads read seeds with
 
     # section builders ----------------------------------------------------
 
+    def _build(self, cls, section: str, **derived):
+        """``cls`` with each field ``f`` that has a key ``<section>.f`` read
+        from it, plus ``derived`` fields; see ``checked``."""
+        keyed = {
+            f.name: self.get(f"{section}.{f.name}")
+            for f in fields(cls)
+            if f"{section}.{f.name}" in CONFIG_KEYS
+        }
+        return checked(cls, **keyed, **derived)
+
     def bev_grid(self) -> BevGrid:
-        try:
-            return BevGrid(
-                n_radial=self.get_int("bev.n_radial"),
-                n_angular=self.get_int("bev.n_angular"),
-                r_max=self.get_float("bev.r_max"),
-                z_min=self.get_float("bev.z_min"),
-                z_max=self.get_float("bev.z_max"),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return self._build(BevGrid, "bev")
 
     def distill(self) -> DistillConfig:
-        floor_raw = self.get_str("distill.weight_floor")
-        floor = None if floor_raw == "auto" else float(floor_raw)
-        try:
-            return DistillConfig(
-                temperature=self.get_float("distill.temperature"),
-                beta=self.get_float("distill.beta"),
-                gamma=self.get_float("distill.gamma"),
-                weight_floor=floor,
-                prob_floor=self.get_float("distill.prob_floor"),
-                tckd_scope=self.get_str("distill.tckd_scope"),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return self._build(DistillConfig, "distill")
+
+    def sgd(self) -> SgdState:
+        return self._build(SgdState, "opt")
 
     def scene(self) -> SceneConfig:
-        return SceneConfig(
-            n_frames=self.get_int("scene.n_frames"),
-            n_moving=self.get_int("scene.n_moving"),
-            n_static_movable=self.get_int("scene.n_static_movable"),
-            n_static=self.get_int("scene.n_static"),
-            radius_range=(
-                self.get_float("scene.radius_min"),
-                self.get_float("scene.radius_max"),
-            ),
-            speed_range=(
-                self.get_float("scene.speed_min"),
-                self.get_float("scene.speed_max"),
-            ),
-            points_per_disc=self.get_int("scene.points_per_disc"),
-            ego_velocity=(
-                self.get_float("scene.ego_vx"),
-                self.get_float("scene.ego_vy"),
-            ),
-            arena_radius=self.get_float("scene.arena_radius"),
-            seed=self.get_int("scene.seed"),
+        get = self.get
+        return self._build(
+            SceneConfig,
+            "scene",
+            radius_range=(get("scene.radius_min"), get("scene.radius_max")),
+            speed_range=(get("scene.speed_min"), get("scene.speed_max")),
+            ego_velocity=(get("scene.ego_vx"), get("scene.ego_vy")),
         )
 
     def class_weights(self) -> np.ndarray:
-        weights = np.array(self.get_float_list("train.class_weights"))
+        weights = np.array(self.get("train.class_weights"))
         if weights.shape != (4,):
             raise ConfigError("train.class_weights needs exactly 4 values")
         return weights
 
-    def lovasz_classes(self) -> tuple[int, ...]:
-        return tuple(self.get_int_list("train.lovasz_classes"))
-
     def window(self) -> tuple[int, int]:
-        n = self.get_int("bev.window")
-        n2 = self.get_int("bev.split")
+        n, n2 = self.get("bev.window"), self.get("bev.split")
         if not 1 <= n2 < n:
             raise ConfigError("need 1 <= bev.split < bev.window")
         return n, n2

@@ -83,10 +83,10 @@ def run_seed(
             sample.teacher_logits = None
         if mode != "baseline":
             pipeline.attach_synth_teacher(
-                train_samples, TEACHER_KAPPA, TEACHER_SIGMA, seed=mode_cfg.get_int("train.seed")
+                train_samples, TEACHER_KAPPA, TEACHER_SIGMA, seed=mode_cfg.get("train.seed")
             )
         net = nnet.build_network(
-            pipeline.student_descriptor(mode_cfg), seed=mode_cfg.get_int("train.seed")
+            pipeline.student_descriptor(mode_cfg), seed=mode_cfg.get("train.seed")
         )
         pipeline.train_student(net, train_samples, [], mode_cfg, epochs)
         report = pipeline.evaluate(net, eval_samples)

@@ -105,26 +105,6 @@ class PointCloud:
 
 
 @dataclass(frozen=True)
-class LabelArray:
-    """Raw uint32 labels, one per point of a companion cloud."""
-
-    raw: np.ndarray
-
-    def __post_init__(self) -> None:
-        raw = np.ascontiguousarray(self.raw, dtype=np.uint32)
-        if raw.ndim != 1:
-            raise ValueError("raw labels must be one-dimensional")
-        object.__setattr__(self, "raw", raw)
-
-    def __len__(self) -> int:
-        return self.raw.shape[0]
-
-    @property
-    def semantic(self) -> np.ndarray:
-        return (self.raw & np.uint32(0xFFFF)).astype(np.uint16)
-
-
-@dataclass(frozen=True)
 class Pose:
     """Rigid 4x4 transform (row-major, meters)."""
 
@@ -192,30 +172,32 @@ def write_scan(cloud: PointCloud, path: str | Path) -> None:
     write_file(path, np.ascontiguousarray(cloud.points, dtype="<f4").tobytes(), "scan")
 
 
-def read_labels(path: str | Path, expected_count: int) -> LabelArray:
-    """Parse a ``.label`` file and check its length against the scan."""
+def read_labels(path: str | Path, expected_count: int) -> np.ndarray:
+    """Parse a ``.label`` file into (N,) uint32 raw labels and check N
+    against the scan."""
     path = Path(path)
     data = read_file(path, "labels")
     if len(data) % LABEL_RECORD_BYTES != 0:
         raise MalformedLabel(
             f"{path}: size {len(data)} is not a multiple of {LABEL_RECORD_BYTES}"
         )
-    raw = np.frombuffer(data, dtype="<u4").copy()
+    raw = np.frombuffer(data, dtype="<u4").astype(np.uint32)
     if raw.shape[0] != expected_count:
         raise LabelCountMismatch(
             f"{path}: {raw.shape[0]} labels for {expected_count} points"
         )
-    return LabelArray(raw=raw)
+    return raw
 
 
-def write_labels(labels: LabelArray, path: str | Path) -> None:
-    write_file(path, np.ascontiguousarray(labels.raw, dtype="<u4").tobytes(), "labels")
+def write_labels(labels: np.ndarray, path: str | Path) -> None:
+    """Inverse of :func:`read_labels`: raw labels as uint32 LE records."""
+    write_file(path, np.ascontiguousarray(labels, dtype="<u4").tobytes(), "labels")
 
 
-def remap_labels(labels: LabelArray) -> np.ndarray:
-    """Map raw labels to class ids in {0..3} through ``CLASS_TABLE``; only
-    the low 16 bits are consulted."""
-    return CLASS_TABLE[labels.semantic]
+def remap_labels(labels: np.ndarray) -> np.ndarray:
+    """Map (N,) raw labels to class ids in {0..3} through ``CLASS_TABLE``;
+    only the low 16 bits, the semantic id, are consulted."""
+    return CLASS_TABLE[(labels & np.uint32(0xFFFF)).astype(np.uint16)]
 
 
 def _frame_id_from_name(path: Path) -> int:
@@ -282,10 +264,11 @@ def write_calib(calib: Calibration, path: str | Path) -> None:
     write_file(path, line + "\n", "calib")
 
 
-def classes_to_raw_labels(classes: np.ndarray) -> LabelArray:
-    """Encode class ids as raw labels using one canonical semantic id per class."""
+def classes_to_raw_labels(classes: np.ndarray) -> np.ndarray:
+    """Encode class ids as (N,) uint32 raw labels using one canonical
+    semantic id per class."""
     classes = np.asarray(classes)
     lut = np.zeros(NUM_CLASSES, dtype=np.uint32)
     for c, sem in CANONICAL_SEMANTIC_ID.items():
         lut[c] = sem
-    return LabelArray(raw=lut[classes])
+    return lut[classes]

@@ -27,6 +27,8 @@ from .errors import EmptyFrame, ShapeMismatch
 from .kitti_io import CLASS_MOVING, NUM_CLASSES
 
 TCKD_SCOPES = ("moving", "all")
+#: floor of the student probabilities inside every log
+PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,6 @@ class DistillConfig:
     beta: float = 1.0
     gamma: float = 0.25
     weight_floor: float | None = None
-    prob_floor: float = 1e-12
     tckd_scope: str = "moving"
 
     def __post_init__(self) -> None:
@@ -77,8 +78,6 @@ class DistillConfig:
             raise ValueError("beta and gamma must be non-negative")
         if self.weight_floor is not None and self.weight_floor <= 0:
             raise ValueError("weight_floor must be positive")
-        if self.prob_floor <= 0:
-            raise ValueError("prob_floor must be positive")
         if self.tckd_scope not in TCKD_SCOPES:
             raise ValueError(f"tckd_scope must be one of {TCKD_SCOPES}")
 
@@ -131,15 +130,13 @@ class KdSplit:
     p_hat: np.ndarray   # (M, C) student softmax over the non-target classes
 
 
-def kd_split(
-    zt: np.ndarray, zs: np.ndarray, t: np.ndarray, prob_floor: float
-) -> KdSplit:
+def kd_split(zt: np.ndarray, zs: np.ndarray, t: np.ndarray) -> KdSplit:
     """Decompose KD between temperature-scaled (M, C) teacher and student
     logits with per-cell targets t.
 
     TCKD is the binary KL over (target, rest); NCKD the KL over the
     renormalized non-target distributions.  Only the student side of each
-    log is floored at ``prob_floor``.
+    log is floored at ``PROB_FLOOR``.
     """
     rows = np.arange(t.shape[0])
     q = softmax_probs(zt)            # teacher, full
@@ -156,11 +153,11 @@ def kd_split(
     qh = _masked_softmax(zt_masked)
     ph = _masked_softmax(zs_masked)
 
-    ph_f = np.maximum(ph, prob_floor)
+    ph_f = np.maximum(ph, PROB_FLOOR)
     nckd_cells = _kl_terms(qh, ph_f).sum(axis=1)
 
-    pt_f = np.maximum(pt, prob_floor)
-    pn_f = np.maximum(1.0 - pt, prob_floor)
+    pt_f = np.maximum(pt, PROB_FLOOR)
+    pn_f = np.maximum(1.0 - pt, PROB_FLOOR)
     tckd_cells = _kl_terms(qt, pt_f) + _kl_terms(1.0 - qt, pn_f)
     return KdSplit(tckd_cells, nckd_cells, qt, p, pt, qh, ph)
 
@@ -217,7 +214,7 @@ def wdcd_frame(
     zs = z_student.scores[valid] / tau
     t = labels.labels[valid].astype(np.int64)
     rows = np.arange(m)
-    kd = kd_split(zt, zs, t, cfg.prob_floor)
+    kd = kd_split(zt, zs, t)
     use_tckd = _tckd_applies(t, cfg)
 
     dcd_cells = cfg.beta * kd.nckd + np.where(use_tckd, kd.tckd, 0.0)
@@ -227,7 +224,7 @@ def wdcd_frame(
     value = float((dcd_cells * cell_scale).mean() * scale)
 
     # gradient, per valid cell, with respect to the raw student logits
-    floor = cfg.prob_floor
+    floor = PROB_FLOOR
     qt, pt, qh, ph = kd.q_t, kd.p_t, kd.q_hat, kd.p_hat
     # NCKD: d/dzs_j = (1/tau) (ph_j - qh_j) away from the prob floor
     live = ph > floor
@@ -251,7 +248,6 @@ def weighted_cross_entropy(
     z_student: LogitGrid,
     labels: CellLabelGrid,
     class_weights: np.ndarray,
-    prob_floor: float = 1e-12,
 ) -> LossResult:
     """Mean over valid cells of -class_weights[label] * log p_label."""
     _check_pair(z_student, None, labels)
@@ -268,10 +264,10 @@ def weighted_cross_entropy(
     p = softmax_probs(z)
     pt = p[rows, t]
     cw = class_weights[t]
-    pt_f = np.maximum(pt, prob_floor)
+    pt_f = np.maximum(pt, PROB_FLOOR)
     value = float(-(cw * np.log(pt_f)).mean())
 
-    live = (pt > prob_floor) * cw / m
+    live = (pt > PROB_FLOOR) * cw / m
     g = p * live[:, None]
     g[rows, t] -= live
     grad = np.zeros_like(z_student.scores)
@@ -354,7 +350,7 @@ def total_loss(
     """
     if z_teacher is None and cfg.gamma != 0.0:
         raise ValueError("a teacher grid is required when gamma > 0")
-    wce = weighted_cross_entropy(z_student, labels, class_weights, cfg.prob_floor)
+    wce = weighted_cross_entropy(z_student, labels, class_weights)
     ls = lovasz_softmax(z_student, labels, lovasz_classes)
     value = wce.value + ls.value
     grad = wce.grad + ls.grad

@@ -490,7 +490,7 @@ class SgdState:
 
     def __post_init__(self) -> None:
         if self.lr <= 0:
-            raise ValueError("lr must be positive")
+            raise ValueError(f"lr must be positive, got {self.lr}")
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         for name, p in params.items():

@@ -96,7 +96,7 @@ def decomposition_residual(
     q = losses.softmax_probs(zt)
     p = losses.softmax_probs(zs)
     kd = (q * (np.log(q) - np.log(p))).sum(axis=1)
-    split = losses.kd_split(zt, zs, t, DistillConfig().prob_floor)
+    split = losses.kd_split(zt, zs, t)
     return np.abs(kd - (split.tckd + (1.0 - split.q_t) * split.nckd))
 
 

@@ -213,7 +213,7 @@ def nckd(z_teacher, z_student, t, temperature=1.0, prob_floor=1e-12):
 def dcd(z_teacher, z_student, t, cfg):
     """Decoupled class distillation for one cell: beta * NCKD, plus TCKD
     where cfg.tckd_scope applies it (the moving class 3, or all)."""
-    tau, floor = cfg.temperature, cfg.prob_floor
+    tau, floor = cfg.temperature, losses.PROB_FLOOR
     value = cfg.beta * nckd(z_teacher, z_student, t, tau, floor)
     if cfg.tckd_scope == "all" or t == 3:
         value += tckd(z_teacher, z_student, t, tau, floor)
@@ -224,15 +224,11 @@ def serial_train_oracle(net, train, heldout, cfg, epochs):
     """The training loop, fully serial: per sample a forward, the loss and
     a backward, gradients and loss parts summed in sample order, then one
     SGD step per mini-batch.  Returns the epoch logs and the SgdState."""
-    dcfg, class_weights, lovasz_classes = cfg.distill(), cfg.class_weights(), cfg.lovasz_classes()
-    state = nnet.SgdState(
-        lr=cfg.get_float("opt.lr"),
-        momentum=cfg.get_float("opt.momentum"),
-        weight_decay=cfg.get_float("opt.weight_decay"),
-        lr_decay=cfg.get_float("opt.lr_decay"),
-    )
-    batch_size = cfg.get_int("train.batch_size")
-    rng = np.random.default_rng(cfg.get_int("train.seed") + 1)
+    dcfg, class_weights = cfg.distill(), cfg.class_weights()
+    lovasz_classes = cfg.get("train.lovasz_classes")
+    state = cfg.sgd()
+    batch_size = cfg.get("train.batch_size")
+    rng = np.random.default_rng(cfg.get("train.seed") + 1)
     params = net.parameters()
     logs = []
     for epoch in range(epochs):

@@ -64,6 +64,7 @@ class TestSynthGen:
             ("bev.aggregate", "max"),
             ("bev.per_frame_residuals", "false"),
             ("distill.moving_class", "3"),
+            ("distill.prob_floor", "1e-12"),
         ]:
             assert main(["synth-gen", "--out", str(tmp_path), "--set", f"{key}={value}"]) == 1
             old = tmp_path / "old.cfg"
@@ -208,9 +209,11 @@ class TestTrain:
         ],
         ids=["flag-0", "flag-neg3", "config-0"],
     )
-    def test_epochs_below_one_exit_one(self, seq_dir, tmp_path, capsys, args, message):
+    def test_epochs_below_one_exit_one(self, tmp_path, capsys, args, message):
+        # the sequence does not exist: each count is rejected before it is read
         ckpt = tmp_path / "e.ckpt"
-        code = main(["train", "--seq", str(seq_dir), "--out-ckpt", str(ckpt), *tiny_cli_args(args)])
+        seq = tmp_path / "missing"
+        code = main(["train", "--seq", str(seq), "--out-ckpt", str(ckpt), *tiny_cli_args(args)])
         assert code == 1
         assert message in capsys.readouterr().err
         assert not ckpt.exists()
@@ -228,7 +231,57 @@ class TestTrain:
         assert code != 0
 
 
+class TestBadConfigValue:
+    """Every bad config value exits 1 with one ``error:`` line naming the key
+    or field, and no checkpoint.  A value its key's parser rejects fails at
+    ``--set``, before the sequence is read, so those runs name a sequence
+    that does not exist; the others fail where the value is first built."""
+
+    @pytest.mark.parametrize(
+        "command, item, message, parsed",
+        [
+            ("train", "distill.weight_floor=abc",
+             "distill.weight_floor must be auto or a number, got abc", False),
+            ("train", "opt.lr=0", "lr must be positive, got 0.0", True),
+            ("train", "teacher.kappa=0", "teacher confidence kappa must be positive, got 0.0", True),
+            ("train", "teacher.sigma=-1", "teacher noise sigma must be non-negative, got -1.0",
+             True),
+            ("train", "train.seed=-5", "train.seed must be >= 0, got -5", False),
+            ("synth-gen", "scene.seed=-1", "scene.seed must be >= 0, got -1", False),
+            ("train", "net.base_width=0", "net.base_width must be >= 1, got 0", False),
+            ("train", "train.batch_size=0", "train.batch_size must be >= 1, got 0", False),
+        ],
+        ids=["weight_floor", "lr", "kappa", "sigma", "train_seed", "scene_seed", "base_width",
+             "batch_size"],
+    )
+    def test_exits_one_naming_the_key(
+        self, seq_dir, tmp_path, capsys, command, item, message, parsed
+    ):
+        out = tmp_path / "out"
+        if command == "train":
+            seq = seq_dir if parsed else tmp_path / "missing"
+            argv = ["train", "--seq", str(seq), "--out-ckpt", str(out), "--teacher", "synth",
+                    "--epochs", "1"]
+        else:
+            argv = ["synth-gen", "--out", str(out)]
+        assert main([*argv, *tiny_cli_args(["--set", item])]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {message}"]
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestEvalCmd:
+    def test_fewer_poses_than_scans_exit_two(self, seq_dir, tmp_path, zero_ckpt, capsys):
+        poses = seq_dir / "poses.txt"
+        poses.write_text("".join(poses.read_text().splitlines(keepends=True)[:5]))
+        out = tmp_path / "metrics.txt"
+        code = main(["eval", "--seq", str(seq_dir), "--ckpt", str(zero_ckpt),
+                     "--metrics-out", str(out), *tiny_cli_args()])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {poses}: 5 poses for 7 scans\n"
+        assert not out.exists()
+
     def test_zero_net_moving_iou_zero(self, seq_dir, tmp_path, zero_ckpt):
         # uniform logits argmax to class 0 everywhere: moving IoU is 0
         out = tmp_path / "metrics.txt"

@@ -1,6 +1,9 @@
+from argparse import ArgumentTypeError
+
 import pytest
 
-from mosdistill.config import CONFIG_KEYS, RunConfig, documented_defaults
+from mosdistill import cli
+from mosdistill.config import CONFIG_KEYS, RunConfig, documented_defaults, positive_int
 from mosdistill.errors import ConfigError
 
 
@@ -25,9 +28,9 @@ class TestRunConfig:
             "\n"
         )
         cfg = RunConfig.from_file(path)
-        assert cfg.get_int("bev.n_radial") == 24
-        assert cfg.get_int("scene.seed") == 9
-        assert cfg.get_int("bev.n_angular") == 360  # untouched default
+        assert cfg.get("bev.n_radial") == 24
+        assert cfg.get("scene.seed") == 9
+        assert cfg.get("bev.n_angular") == 360  # untouched default
 
     def test_file_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -52,7 +55,9 @@ class TestRunConfig:
         assert scene.n_frames == 8 and scene.arena_radius == 40.0
         assert cfg.window() == (8, 4)
         assert list(cfg.class_weights()) == [0.0, 1.0, 1.0, 1.0]
-        assert cfg.lovasz_classes() == (1, 2, 3)
+        assert cfg.get("train.lovasz_classes") == (1, 2, 3)
+        sgd = cfg.sgd()
+        assert (sgd.lr, sgd.momentum, sgd.weight_decay, sgd.lr_decay) == (0.005, 0.9, 1e-4, 0.99)
 
     def test_window_validation(self):
         cfg = RunConfig.defaults()
@@ -62,17 +67,17 @@ class TestRunConfig:
 
     def test_bad_numeric_value(self):
         cfg = RunConfig.defaults()
-        cfg.set("opt.lr", "fast")
-        with pytest.raises(ConfigError):
-            cfg.get_float("opt.lr")
+        with pytest.raises(ConfigError, match="opt.lr must be a number, got fast"):
+            cfg.set("opt.lr", "fast")
+        assert cfg.get("opt.lr") == 0.005  # the rejected value left no trace
+        assert cfg.values["opt.lr"] == "0.005"
 
     def test_bool_parsing(self):
         cfg = RunConfig.defaults()
         cfg.set("bev.appearance_channels", "TRUE")
-        assert cfg.get_bool("bev.appearance_channels") is True
-        cfg.set("bev.appearance_channels", "maybe")
-        with pytest.raises(ConfigError):
-            cfg.get_bool("bev.appearance_channels")
+        assert cfg.get("bev.appearance_channels") is True
+        with pytest.raises(ConfigError, match="must be true or false, got maybe"):
+            cfg.set("bev.appearance_channels", "maybe")
 
     def test_weight_floor_auto_and_numeric(self):
         cfg = RunConfig.defaults()
@@ -92,3 +97,56 @@ class TestRunConfig:
         cfg.set("train.class_weights", "1,2,3")
         with pytest.raises(ConfigError):
             cfg.class_weights()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("bev.n_radial", "2.5", "bev.n_radial must be an integer, got 2.5"),
+            ("train.batch_size", "0", "train.batch_size must be >= 1, got 0"),
+            ("train.epochs", "x", "train.epochs must be an integer, got x"),
+            ("opt.lr", "nan", "opt.lr must be a number, got nan"),
+            ("scene.seed", "-1", "scene.seed must be >= 0, got -1"),
+            ("train.class_weights", "1,x,1,1", "must be comma-separated numbers"),
+            ("train.lovasz_classes", "1,,2", "must be comma-separated integers"),
+            ("distill.weight_floor", "NaN", "must be auto or a number, got NaN"),
+        ],
+    )
+    def test_parser_rejects_at_set(self, key, value, message):
+        cfg = RunConfig.defaults()
+        with pytest.raises(ConfigError, match=message):
+            cfg.set(key, value)
+
+    def test_parsed_types(self):
+        cfg = RunConfig.defaults()
+        assert cfg.get("train.class_weights") == (0.0, 1.0, 1.0, 1.0)
+        assert cfg.get("distill.weight_floor") is None
+        assert cfg.get("distill.tckd_scope") == "moving"
+        cfg.set("train.lovasz_classes", "")
+        assert cfg.get("train.lovasz_classes") == ()
+        assert isinstance(cfg.get("train.seed"), int) and isinstance(cfg.get("opt.lr"), float)
+
+    def test_file_bad_value(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("opt.lr = fast\n")
+        with pytest.raises(ConfigError, match="opt.lr must be a number, got fast"):
+            RunConfig.from_file(path)
+
+    def test_range_checks_raise_config_error(self):
+        for key, value, builder in [
+            ("opt.lr", "0", RunConfig.sgd),
+            ("distill.temperature", "0", RunConfig.distill),
+            ("bev.r_max", "-1", RunConfig.bev_grid),
+            ("scene.points_per_disc", "0", RunConfig.scene),
+        ]:
+            cfg = RunConfig.defaults()
+            cfg.set(key, value)
+            with pytest.raises(ConfigError):
+                builder(cfg)
+
+    def test_one_count_parser(self):
+        # the CLI's count flags use the config's count parser
+        assert cli.positive_int is positive_int
+        assert positive_int("3") == 3
+        for text in ("0", "-2", "1.5", "x"):
+            with pytest.raises(ArgumentTypeError, match="expected an integer >= 1"):
+                positive_int(text)

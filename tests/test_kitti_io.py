@@ -75,7 +75,8 @@ class TestReadLabels:
         path = tmp_path / "000000.label"
         path.write_bytes(struct.pack("<2I", 252, 10))
         labels = kio.read_labels(path, 2)
-        np.testing.assert_array_equal(labels.raw, [252, 10])
+        assert labels.dtype == np.uint32 and labels.shape == (2,)
+        np.testing.assert_array_equal(labels, [252, 10])
 
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "x.label"
@@ -89,9 +90,14 @@ class TestReadLabels:
         with pytest.raises(MalformedLabel):
             kio.read_labels(path, 1)
 
-    def test_bit_split(self):
-        labels = kio.LabelArray(raw=np.array([0x0001_00FC], dtype=np.uint32))
-        assert labels.semantic[0] == 252
+    def test_bit_split(self, tmp_path):
+        # the instance id in the high 16 bits is kept on read and ignored by
+        # the remap, which sees semantic id 252 (moving car)
+        path = tmp_path / "x.label"
+        path.write_bytes(struct.pack("<I", 0x0001_00FC))
+        labels = kio.read_labels(path, 1)
+        assert labels[0] == 0x0001_00FC
+        assert kio.remap_labels(labels)[0] == kio.CLASS_MOVING
 
 
 class TestRoundTrip:
@@ -122,26 +128,26 @@ class TestRoundTrip:
     def test_label_bytes(self, tmp_path_factory, raw):
         path = tmp_path_factory.mktemp("rt") / "s.label"
         arr = np.array(raw, dtype=np.uint32)
-        kio.write_labels(kio.LabelArray(raw=arr), path)
+        kio.write_labels(arr, path)
         back = kio.read_labels(path, len(arr))
-        np.testing.assert_array_equal(back.raw, arr)
+        np.testing.assert_array_equal(back, arr)
         kio.write_labels(back, path)
         assert np.frombuffer(path.read_bytes(), "<u4").tolist() == raw
 
 
 class TestRemap:
     def test_defaults(self):
-        labels = kio.LabelArray(raw=np.array([252, 10, 40, 0], dtype=np.uint32))
+        labels = np.array([252, 10, 40, 0], dtype=np.uint32)
         np.testing.assert_array_equal(kio.remap_labels(labels), [3, 2, 1, 0])
 
     def test_instance_bits_ignored(self):
-        labels = kio.LabelArray(raw=np.array([0xABCD_00FC], dtype=np.uint32))
+        labels = np.array([0xABCD_00FC], dtype=np.uint32)
         assert kio.remap_labels(labels)[0] == 3
 
     @given(st.integers(0, 2**16 - 1))
     @settings(max_examples=100, deadline=None)
     def test_pure_and_total(self, sem):
-        labels = kio.LabelArray(raw=np.array([sem, sem], dtype=np.uint32))
+        labels = np.array([sem, sem], dtype=np.uint32)
         out = kio.remap_labels(labels)
         assert out[0] == out[1]
         assert 0 <= out[0] <= 3

@@ -58,9 +58,7 @@ class TestSoftmax:
 
 def one_cell(zt, zs, t, tau=1.0):
     """kd_split of a single cell, raw logits scaled by tau."""
-    return losses.kd_split(
-        np.atleast_2d(zt) / tau, np.atleast_2d(zs) / tau, np.array([t]), 1e-12
-    )
+    return losses.kd_split(np.atleast_2d(zt) / tau, np.atleast_2d(zs) / tau, np.array([t]))
 
 
 def one_cell_wdcd(zt, zs, t, cfg):
@@ -145,7 +143,7 @@ class TestKdAndDecomposition:
         zt = rng.normal(0, 3, (200, 4))
         zs = rng.normal(0, 3, (200, 4))
         t = rng.integers(4, size=200)
-        kd = losses.kd_split(zt, zs, t, 1e-12)
+        kd = losses.kd_split(zt, zs, t)
         assert (kd.tckd >= -1e-12).all()
         assert (kd.nckd >= -1e-12).all()
 
@@ -364,7 +362,7 @@ class TestTotalLoss:
         cw = np.ones(4)
         cfg = DistillConfig(gamma=0.0)
         total = losses.total_loss(zs, zt, lab, cfg, cw)
-        wce = losses.weighted_cross_entropy(zs, lab, cw, cfg.prob_floor)
+        wce = losses.weighted_cross_entropy(zs, lab, cw)
         ls = losses.lovasz_softmax(zs, lab)
         assert total.value == pytest.approx(wce.value + ls.value, rel=1e-15)
         np.testing.assert_array_equal(total.grad, wce.grad + ls.grad)
@@ -377,7 +375,7 @@ class TestTotalLoss:
         cw = np.array([0.0, 1.0, 1.0, 1.0])
         cfg = DistillConfig()
         total = losses.total_loss(zs, zt, lab, cfg, cw)
-        wce = losses.weighted_cross_entropy(zs, lab, cw, cfg.prob_floor)
+        wce = losses.weighted_cross_entropy(zs, lab, cw)
         ls = losses.lovasz_softmax(zs, lab)
         kd = losses.wdcd_frame(zt, zs, lab, cfg)
         np.testing.assert_allclose(

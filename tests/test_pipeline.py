@@ -254,7 +254,7 @@ class TestTraining:
         samples = pipeline.build_samples(*loaded, tiny_config)  # 4 samples, batch 2
         pipeline.attach_synth_teacher(samples, 10.0, 0.5, seed=0)
         # the second sample of the first batch, in train_student's shuffled order
-        order = np.random.default_rng(tiny_config.get_int("train.seed") + 1).permutation(4)
+        order = np.random.default_rng(tiny_config.get("train.seed") + 1).permutation(4)
         victim = samples[order[1]]
         victim.labels = bev.CellLabelGrid(
             labels=victim.labels.labels, valid=np.zeros_like(victim.labels.valid)
