@@ -18,6 +18,7 @@ import numpy as np
 
 from .bev import BevGrid
 from .errors import ConfigError, read_file
+from .kitti_io import NUM_CLASSES
 from .losses import DistillConfig
 from .nnet import SgdState
 from .synthbench import SceneConfig
@@ -38,7 +39,7 @@ def _as(convert: Callable[[str], object], what: str) -> Callable[[str], object]:
 
 def _number(text: str) -> float:
     value = float(text)
-    if np.isnan(value):  # nan passes every range check, then poisons training
+    if not np.isfinite(value):  # nan passes every range check, inf each one with no upper bound
         raise ValueError(text)
     return value
 
@@ -50,24 +51,31 @@ _float = _as(_number, "a number")
 _flag = _as(lambda text: _FLAGS[text.lower()], "true or false")
 
 
-def _at_least(low: int) -> Callable[[str], int]:
-    def parse(text: str) -> int:
-        value = _int(text)
-        if value < low:
-            raise ValueError(f">= {low}")
+def _within(parse: Callable[[str], object], ok: Callable, what: str) -> Callable[[str], object]:
+    """``parse``, then a range check: a value failing ``ok`` must be ``what``."""
+
+    def check(text: str) -> object:
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(what)
         return value
 
-    return parse
+    return check
 
 
-_count = _at_least(1)
-_seed = _at_least(0)
+_count = _within(_int, lambda v: v >= 1, ">= 1")
+_seed = _within(_int, lambda v: v >= 0, ">= 0")
+_fraction = _within(_float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 _floats = _as(
     lambda text: tuple(_number(tok) for tok in text.split(",")), "comma-separated numbers"
 )
+_class_weights = _within(_floats, lambda v: len(v) == NUM_CLASSES, f"{NUM_CLASSES} numbers")
 _ints = _as(
     lambda text: tuple(int(tok) for tok in text.split(",")) if text.strip() else (),
     "comma-separated integers",
+)
+_class_ids = _within(
+    _ints, lambda v: all(0 <= c < NUM_CLASSES for c in v), f"class ids in 0..{NUM_CLASSES - 1}"
 )
 _auto_or_float = _as(lambda text: None if text == "auto" else _number(text), "auto or a number")
 
@@ -121,9 +129,9 @@ CONFIG_KEYS: dict[str, _Key] = {
     "train.epochs": _Key("150", "full-scale epoch count (see --epochs)", _count),
     "train.batch_size": _Key("8", "frames per optimizer step", _count),
     "train.seed": _Key("0", "master seed for init, shuffling, synth teacher", _seed),
-    "train.val_fraction": _Key("0.25", "trailing fraction of frames held out", _float),
-    "train.class_weights": _Key("0,1,1,1", "cross-entropy weight per class", _floats),
-    "train.lovasz_classes": _Key("1,2,3", "classes included in the Lovasz term", _ints),
+    "train.val_fraction": _Key("0.25", "trailing fraction of frames held out", _fraction),
+    "train.class_weights": _Key("0,1,1,1", "cross-entropy weight per class", _class_weights),
+    "train.lovasz_classes": _Key("1,2,3", "classes included in the Lovasz term", _class_ids),
     "scene.n_frames": _Key("8", "synthetic sequence length", _int),
     "scene.n_moving": _Key("2", "moving discs", _int),
     "scene.n_static_movable": _Key("3", "parked (movable) discs", _int),
@@ -226,10 +234,7 @@ class RunConfig:
         )
 
     def class_weights(self) -> np.ndarray:
-        weights = np.array(self.get("train.class_weights"))
-        if weights.shape != (4,):
-            raise ConfigError("train.class_weights needs exactly 4 values")
-        return weights
+        return np.array(self.get("train.class_weights"))
 
     def window(self) -> tuple[int, int]:
         n, n2 = self.get("bev.window"), self.get("bev.split")

@@ -11,9 +11,12 @@ divides each cell's DCD by the frame-level frequency of its label, which
 up-weights the rare moving cells.  The student's own loss is weighted
 cross-entropy plus Lovasz-softmax.
 
-All math runs in float64.  Every frame-level loss returns both its value
-and the exact gradient with respect to the student logits, zero at
-invalid cells.
+All math runs in float64.  ``total_loss`` is the only frame-level loss
+and the only place that masks: it checks the grids, gathers the valid
+cells into (M, C) rows once, and scatters the summed row gradient back,
+zero at invalid cells.  Each term (``weighted_cross_entropy``,
+``lovasz_softmax``, ``wdcd_frame``) takes rows and returns its value and
+the exact gradient with respect to those rows.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ class DistillConfig:
 @dataclass(frozen=True)
 class LossResult:
     value: float
-    grad: np.ndarray  # same shape as the student logits
+    grad: np.ndarray  # (M, C) rows from a term; the (H, W, C) grid from total_loss
     parts: dict[str, float] = field(default_factory=dict)
 
 
@@ -168,13 +171,11 @@ def _tckd_applies(t: np.ndarray, cfg: DistillConfig) -> np.ndarray:
     return t == CLASS_MOVING
 
 
-def frame_weights(labels: CellLabelGrid, cfg: DistillConfig) -> np.ndarray:
-    """(C,) share of valid cells per class, floored at cfg.weight_floor."""
-    valid = labels.valid
-    total = int(valid.sum())
-    if total == 0:
-        raise EmptyFrame("no valid cells in frame")
-    counts = np.bincount(labels.labels[valid].ravel(), minlength=NUM_CLASSES)
+def frame_weights(t: np.ndarray, cfg: DistillConfig) -> np.ndarray:
+    """(C,) share of the valid cells' labels t per class, floored at
+    cfg.weight_floor."""
+    total = t.size
+    counts = np.bincount(t, minlength=NUM_CLASSES)
     floor = cfg.weight_floor if cfg.weight_floor is not None else 1.0 / total
     return np.maximum(counts / total, floor)
 
@@ -192,38 +193,31 @@ def _check_pair(a: LogitGrid, b: LogitGrid | None, labels: CellLabelGrid) -> Non
 
 
 def wdcd_frame(
-    z_teacher: LogitGrid,
-    z_student: LogitGrid,
-    labels: CellLabelGrid,
-    cfg: DistillConfig,
+    zt_rows: np.ndarray, zs_rows: np.ndarray, t: np.ndarray, cfg: DistillConfig
 ) -> LossResult:
-    """Weighted decoupled class distillation over one frame.
+    """Weighted decoupled class distillation over a frame's valid cells,
+    given as (M, C) raw teacher and student logits with labels t.
 
-    value = mean over valid cells of DCD(cell) / w[label(cell)], scaled by
+    value = mean over cells of DCD(cell) / w[label(cell)], scaled by
     temperature^2 so gradient magnitudes stay comparable across
-    temperatures.  The gradient with respect to the student logits is
-    analytic and exactly zero at invalid cells.
+    temperatures.  The gradient with respect to the student rows is
+    analytic.
     """
-    _check_pair(z_student, z_teacher, labels)
-    valid = labels.valid
-    m = int(valid.sum())
-    if m == 0:
-        raise EmptyFrame("no valid cells in frame")
+    m = t.shape[0]
     tau = cfg.temperature
-    zt = z_teacher.scores[valid] / tau
-    zs = z_student.scores[valid] / tau
-    t = labels.labels[valid].astype(np.int64)
+    zt = zt_rows / tau
+    zs = zs_rows / tau
     rows = np.arange(m)
     kd = kd_split(zt, zs, t)
     use_tckd = _tckd_applies(t, cfg)
 
     dcd_cells = cfg.beta * kd.nckd + np.where(use_tckd, kd.tckd, 0.0)
-    w = frame_weights(labels, cfg)
+    w = frame_weights(t, cfg)
     cell_scale = 1.0 / w[t]
     scale = tau * tau
     value = float((dcd_cells * cell_scale).mean() * scale)
 
-    # gradient, per valid cell, with respect to the raw student logits
+    # gradient, per cell, with respect to the raw student logits
     floor = PROB_FLOOR
     qt, pt, qh, ph = kd.q_t, kd.p_t, kd.q_hat, kd.p_hat
     # NCKD: d/dzs_j = (1/tau) (ph_j - qh_j) away from the prob floor
@@ -238,30 +232,16 @@ def wdcd_frame(
     g -= coef[:, None] * kd.p
     g[rows, t] += coef
     g *= (cell_scale * scale / m)[:, None]
-
-    grad = np.zeros_like(z_student.scores)
-    grad[valid] = g
-    return LossResult(value=value, grad=grad)
+    return LossResult(value=value, grad=g)
 
 
 def weighted_cross_entropy(
-    z_student: LogitGrid,
-    labels: CellLabelGrid,
-    class_weights: np.ndarray,
+    p: np.ndarray, t: np.ndarray, class_weights: np.ndarray
 ) -> LossResult:
-    """Mean over valid cells of -class_weights[label] * log p_label."""
-    _check_pair(z_student, None, labels)
-    class_weights = np.asarray(class_weights, dtype=np.float64)
-    if class_weights.shape != (NUM_CLASSES,):
-        raise ShapeMismatch("class_weights must have one entry per class")
-    valid = labels.valid
-    m = int(valid.sum())
-    if m == 0:
-        raise EmptyFrame("no valid cells in frame")
-    z = z_student.scores[valid]
-    t = labels.labels[valid].astype(np.int64)
+    """Mean over the (M, C) student probabilities p of
+    -class_weights[t] * log p_t."""
+    m = t.shape[0]
     rows = np.arange(m)
-    p = softmax_probs(z)
     pt = p[rows, t]
     cw = class_weights[t]
     pt_f = np.maximum(pt, PROB_FLOOR)
@@ -270,39 +250,28 @@ def weighted_cross_entropy(
     live = (pt > PROB_FLOOR) * cw / m
     g = p * live[:, None]
     g[rows, t] -= live
-    grad = np.zeros_like(z_student.scores)
-    grad[valid] = g
-    return LossResult(value=value, grad=grad)
+    return LossResult(value=value, grad=g)
 
 
 def lovasz_softmax(
-    z_student: LogitGrid,
-    labels: CellLabelGrid,
-    classes: tuple[int, ...] | None = None,
+    p: np.ndarray, t: np.ndarray, classes: tuple[int, ...] | None = None
 ) -> LossResult:
-    """Lovasz extension of the per-class Jaccard loss over valid cells.
+    """Lovasz extension of the per-class Jaccard loss over the (M, C)
+    student probabilities p with labels t.
 
-    For each class c present in the labels (optionally restricted to
-    ``classes``): errors m_i = 1 - p_c where the label is c, else p_c;
-    sorted descending (stable); the extension weights are the successive
-    differences of 1 - intersection/union over error prefixes.  The loss
-    is the mean over included classes, and the gradient scatters the
-    prefix weights back through the sort.
+    For each class c present in t (optionally restricted to ``classes``):
+    errors m_i = 1 - p_c where the label is c, else p_c; sorted descending
+    (stable); the extension weights are the successive differences of
+    1 - intersection/union over error prefixes.  The loss is the mean over
+    included classes, and the gradient scatters the prefix weights back
+    through the sort.
     """
-    _check_pair(z_student, None, labels)
-    valid = labels.valid
-    m = int(valid.sum())
-    if m == 0:
-        raise EmptyFrame("no valid cells in frame")
-    z = z_student.scores[valid]
-    t = labels.labels[valid].astype(np.int64)
-    p = softmax_probs(z)
-
+    m = t.shape[0]
     present = np.unique(t)
     if classes is not None:
         present = np.array([c for c in present if c in classes], dtype=np.int64)
     if present.size == 0:
-        return LossResult(value=0.0, grad=np.zeros_like(z_student.scores))
+        return LossResult(value=0.0, grad=np.zeros_like(p))
 
     total = 0.0
     gp = np.zeros_like(p)  # gradient in probability space
@@ -329,10 +298,7 @@ def lovasz_softmax(
 
     # chain through the softmax: dL/dz_j = p_j * (gp_j - sum_c gp_c p_c)
     inner = (gp * p).sum(axis=1, keepdims=True)
-    g = p * (gp - inner)
-    grad = np.zeros_like(z_student.scores)
-    grad[valid] = g
-    return LossResult(value=value, grad=grad)
+    return LossResult(value=value, grad=p * (gp - inner))
 
 
 def total_loss(
@@ -345,19 +311,35 @@ def total_loss(
 ) -> LossResult:
     """Student loss (wce + lovasz) plus gamma-weighted distillation.
 
-    With gamma = 0 (or no teacher) this reduces exactly to the student
-    loss; gradients of the parts sum linearly.
+    The one frame-level loss: it checks the grids, gathers the valid cells
+    once, runs each term on those rows, and scatters the summed row
+    gradient back into the grid, zero at invalid cells.  With gamma = 0
+    (or no teacher) this reduces exactly to the student loss; gradients of
+    the parts sum linearly.
     """
     if z_teacher is None and cfg.gamma != 0.0:
         raise ValueError("a teacher grid is required when gamma > 0")
-    wce = weighted_cross_entropy(z_student, labels, class_weights)
-    ls = lovasz_softmax(z_student, labels, lovasz_classes)
+    valid = labels.valid
+    if not valid.any():
+        raise EmptyFrame("no valid cells in frame")
+    teacher = z_teacher if cfg.gamma != 0.0 else None
+    _check_pair(z_student, teacher, labels)
+    class_weights = np.asarray(class_weights, dtype=np.float64)
+    if class_weights.shape != (NUM_CLASSES,):
+        raise ShapeMismatch("class_weights must have one entry per class")
+    z = z_student.scores[valid]
+    t = labels.labels[valid].astype(np.int64)
+    p = softmax_probs(z)
+    wce = weighted_cross_entropy(p, t, class_weights)
+    ls = lovasz_softmax(p, t, lovasz_classes)
     value = wce.value + ls.value
-    grad = wce.grad + ls.grad
+    g = wce.grad + ls.grad
     parts = {"wce": wce.value, "lovasz": ls.value, "wdcd": 0.0}
-    if z_teacher is not None and cfg.gamma != 0.0:
-        kd = wdcd_frame(z_teacher, z_student, labels, cfg)
+    if teacher is not None:
+        kd = wdcd_frame(teacher.scores[valid], z, t, cfg)
         value += cfg.gamma * kd.value
-        grad += cfg.gamma * kd.grad
+        g += cfg.gamma * kd.grad
         parts["wdcd"] = kd.value
+    grad = np.zeros_like(z_student.scores)
+    grad[valid] = g
     return LossResult(value=value, grad=grad, parts=parts)

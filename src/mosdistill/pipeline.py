@@ -235,8 +235,16 @@ def student_forward(
     ``train=True`` is the training forward: float64, with the layer caches
     for ``backward``.  ``train=False`` is inference: the motion channels are
     cast to float32 and the forward keeps no caches.  A non-finite
-    activation or logit raises NonFiniteLoss naming the frame.
+    activation or logit raises NonFiniteLoss naming the frame.  A grid side
+    that is not a multiple of 4 raises ConfigError: the networks downsample
+    twice by 2, so their output would not match the label grid.
     """
+    h, w = sample.labels.valid.shape
+    if h % 4 or w % 4:
+        raise ConfigError(
+            "bev.n_radial and bev.n_angular must be multiples of 4 (the networks "
+            f"downsample twice by 2), got a {h}x{w} grid"
+        )
     fid = sample.frame_id
     x = sample.motion.channels if train else sample.motion.channels.astype(np.float32)
     try:
@@ -374,18 +382,17 @@ def frame_confusion(net: nnet.Network, sample: FrameSample) -> np.ndarray:
     cell_pred = np.argmax(predict_logits(net, sample).scores, axis=2)
     point_pred = bev.back_project(cell_pred.astype(np.uint8), sample.cells)
     valid = sample.labels.valid
-    cell_cm = metrics.accumulate(
-        metrics.ConfusionMatrix(), cell_pred[valid], sample.labels.labels[valid]
-    )
-    point_cm = metrics.accumulate(metrics.ConfusionMatrix(), point_pred, sample.point_classes)
-    return np.stack([cell_cm.counts, point_cm.counts])
+    counts = np.zeros((2, NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
+    metrics.accumulate(counts[0], cell_pred[valid], sample.labels.labels[valid])
+    metrics.accumulate(counts[1], point_pred, sample.point_classes)
+    return counts
 
 
 def confusion_report(counts: list[np.ndarray]) -> dict[str, object]:
     """The IoU report of the summed per-frame counts; integer sums, so the
     report depends on neither the frame order nor the thread count."""
     total = sum(counts, np.zeros((2, NUM_CLASSES, NUM_CLASSES), dtype=np.int64))
-    return metrics.metrics_report(*(metrics.ConfusionMatrix(cm) for cm in total))
+    return metrics.metrics_report(*total)
 
 
 def evaluate(net: nnet.Network, samples: list[FrameSample]) -> dict[str, object]:
@@ -397,9 +404,7 @@ def evaluate(net: nnet.Network, samples: list[FrameSample]) -> dict[str, object]
 def split_train_heldout(
     samples: list[FrameSample], val_fraction: float
 ) -> tuple[list[FrameSample], list[FrameSample]]:
-    """Temporal split: the trailing fraction is held out."""
-    if not 0.0 <= val_fraction < 1.0:
-        raise ConfigError("train.val_fraction must be in [0, 1)")
+    """Temporal split: the trailing fraction (in [0, 1)) is held out."""
     n_val = int(round(len(samples) * val_fraction))
     if n_val == 0:
         return samples, []

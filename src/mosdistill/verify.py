@@ -147,40 +147,46 @@ def _lovasz_gap(zs: np.ndarray, lab: CellLabelGrid, min_gap: float) -> bool:
     return True
 
 
-def _loss_grad_error(
-    loss: Callable[[LogitGrid], losses.LossResult], zs: np.ndarray, valid: np.ndarray
-) -> float:
-    """FD check of ``loss`` with respect to the student logits ``zs``."""
-    analytic = loss(LogitGrid(zs.copy(), valid)).grad
-    numeric = finite_difference(lambda: loss(LogitGrid(zs.copy(), valid)).value, zs)
+def _loss_grad_error(loss: Callable[[np.ndarray], losses.LossResult], z: np.ndarray) -> float:
+    """FD check of ``loss`` with respect to the student logits ``z``."""
+    analytic = loss(z.copy()).grad
+    numeric = finite_difference(lambda: loss(z.copy()).value, z)
     return grad_error(analytic, numeric)
 
 
+def _random_rows_case(rng: np.random.Generator, tie_free: bool = False, min_gap: float = 1e-4):
+    """The valid cells of ``_random_grid_case`` as (M, C) teacher and
+    student rows and their labels."""
+    zt, zs, lab = _random_grid_case(rng, tie_free, min_gap)
+    return zt[lab.valid], zs[lab.valid], lab.labels[lab.valid].astype(np.int64)
+
+
 def check_wdcd_grad(rng: np.random.Generator, cfg: DistillConfig) -> float:
-    zt, zs, lab = _random_grid_case(rng)
-    tgrid = LogitGrid(scores=zt, valid=lab.valid)
-    return _loss_grad_error(lambda s: losses.wdcd_frame(tgrid, s, lab, cfg), zs, lab.valid)
+    zt, zs, t = _random_rows_case(rng)
+    return _loss_grad_error(lambda s: losses.wdcd_frame(zt, s, t, cfg), zs)
 
 
 def check_wce_grad(rng: np.random.Generator) -> float:
-    _, zs, lab = _random_grid_case(rng)
+    _, zs, t = _random_rows_case(rng)
     weights = rng.uniform(0.2, 2.0, size=NUM_CLASSES)
     return _loss_grad_error(
-        lambda s: losses.weighted_cross_entropy(s, lab, weights), zs, lab.valid
+        lambda s: losses.weighted_cross_entropy(losses.softmax_probs(s), t, weights), zs
     )
 
 
 def check_lovasz_grad(rng: np.random.Generator, min_gap: float = 1e-4) -> float:
-    _, zs, lab = _random_grid_case(rng, tie_free=True, min_gap=min_gap)
-    return _loss_grad_error(lambda s: losses.lovasz_softmax(s, lab), zs, lab.valid)
+    _, zs, t = _random_rows_case(rng, tie_free=True, min_gap=min_gap)
+    return _loss_grad_error(lambda s: losses.lovasz_softmax(losses.softmax_probs(s), t), zs)
 
 
 def check_total_grad(rng: np.random.Generator, cfg: DistillConfig, min_gap: float = 1e-4) -> float:
+    """FD check at grid level, invalid cells included, so the scatter of
+    the row gradient is checked too."""
     zt, zs, lab = _random_grid_case(rng, tie_free=True, min_gap=min_gap)
     tgrid = LogitGrid(scores=zt, valid=lab.valid)
     weights = rng.uniform(0.2, 2.0, size=NUM_CLASSES)
     return _loss_grad_error(
-        lambda s: losses.total_loss(s, tgrid, lab, cfg, weights), zs, lab.valid
+        lambda s: losses.total_loss(LogitGrid(s, lab.valid), tgrid, lab, cfg, weights), zs
     )
 
 
@@ -346,11 +352,10 @@ def suite_lovasz(instances: int = 30, seed: int = 41) -> SuiteResult:
     worst = 0.0
     for _ in range(instances):
         n = int(rng.integers(1, 13))
-        z = rng.normal(0.0, 2.0, size=(1, n, NUM_CLASSES))
-        t = rng.integers(NUM_CLASSES, size=(1, n)).astype(np.uint8)
-        lab = CellLabelGrid(labels=t, valid=np.ones((1, n), dtype=bool))
-        ours = losses.lovasz_softmax(LogitGrid(z, lab.valid), lab).value
-        ref = lovasz_value_bruteforce(z[0], t[0].astype(np.int64))
+        z = rng.normal(0.0, 2.0, size=(n, NUM_CLASSES))
+        t = rng.integers(NUM_CLASSES, size=n)
+        ours = losses.lovasz_softmax(losses.softmax_probs(z), t).value
+        ref = lovasz_value_bruteforce(z, t)
         worst = max(worst, abs(ours - ref))
     return SuiteResult("lovasz", worst, LOVASZ_ORACLE_TOL)
 

@@ -250,9 +250,18 @@ class TestBadConfigValue:
             ("synth-gen", "scene.seed=-1", "scene.seed must be >= 0, got -1", False),
             ("train", "net.base_width=0", "net.base_width must be >= 1, got 0", False),
             ("train", "train.batch_size=0", "train.batch_size must be >= 1, got 0", False),
+            ("train", "train.lovasz_classes=9",
+             "train.lovasz_classes must be class ids in 0..3, got 9", False),
+            ("train", "train.val_fraction=1", "train.val_fraction must be in [0, 1), got 1",
+             False),
+            ("train", "train.class_weights=1,1", "train.class_weights must be 4 numbers, got 1,1",
+             False),
+            ("train", "bev.r_max=inf", "bev.r_max must be a number, got inf", False),
+            ("train", "bev.z_min=-inf", "bev.z_min must be a number, got -inf", False),
         ],
         ids=["weight_floor", "lr", "kappa", "sigma", "train_seed", "scene_seed", "base_width",
-             "batch_size"],
+             "batch_size", "lovasz_classes", "val_fraction", "class_weights", "r_max_inf",
+             "z_min_inf"],
     )
     def test_exits_one_naming_the_key(
         self, seq_dir, tmp_path, capsys, command, item, message, parsed
@@ -269,6 +278,36 @@ class TestBadConfigValue:
         assert err.splitlines() == [f"error: {message}"]
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestGridNotMultipleOfFour:
+    """Both networks downsample twice by 2, so a grid side that is not a
+    multiple of 4 exits 1 in every command that runs a network, with one
+    ``error:`` line and nothing written; ``project`` runs no network."""
+
+    GRID = ["--set", "bev.n_radial=30", "--set", "bev.n_angular=360"]
+    MESSAGE = ("error: bev.n_radial and bev.n_angular must be multiples of 4 "
+               "(the networks downsample twice by 2), got a 30x360 grid")
+
+    @pytest.mark.parametrize("command", ["train", "eval", "export-logits", "bench"])
+    def test_exits_one(self, seq_dir, tmp_path, zero_ckpt, capsys, command):
+        out = tmp_path / "out"
+        argv = {
+            "train": ["--out-ckpt", str(out), "--teacher", "synth", "--epochs", "1"],
+            "eval": ["--ckpt", str(zero_ckpt), "--metrics-out", str(out)],
+            "export-logits": ["--ckpt", str(zero_ckpt), "--out", str(out)],
+            "bench": ["--frames", "1", "--out", str(out)],
+        }[command]
+        code = main([command, "--seq", str(seq_dir), *argv, *tiny_cli_args(self.GRID)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [self.MESSAGE]
+        assert not out.exists()
+
+    def test_project_accepts_any_grid(self, seq_dir, tmp_path):
+        out = tmp_path / "proj"
+        argv = ["project", "--seq", str(seq_dir), "--out", str(out)]
+        assert main([*argv, *tiny_cli_args(self.GRID)]) == 0
+        assert np.load(out / "cell_valid" / "000003.npy").shape == (30, 360)
 
 
 class TestEvalCmd:

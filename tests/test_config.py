@@ -94,9 +94,9 @@ class TestRunConfig:
 
     def test_class_weights_length(self):
         cfg = RunConfig.defaults()
-        cfg.set("train.class_weights", "1,2,3")
-        with pytest.raises(ConfigError):
-            cfg.class_weights()
+        with pytest.raises(ConfigError, match="train.class_weights must be 4 numbers, got 1,2,3"):
+            cfg.set("train.class_weights", "1,2,3")
+        assert list(cfg.class_weights()) == [0.0, 1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -109,6 +109,15 @@ class TestRunConfig:
             ("train.class_weights", "1,x,1,1", "must be comma-separated numbers"),
             ("train.lovasz_classes", "1,,2", "must be comma-separated integers"),
             ("distill.weight_floor", "NaN", "must be auto or a number, got NaN"),
+            ("bev.r_max", "inf", "bev.r_max must be a number, got inf"),
+            ("bev.z_min", "-inf", "bev.z_min must be a number, got -inf"),
+            ("distill.weight_floor", "Infinity", "must be auto or a number, got Infinity"),
+            ("train.class_weights", "1,inf,1,1", "must be comma-separated numbers"),
+            ("train.val_fraction", "1.0", r"train.val_fraction must be in \[0, 1\), got 1.0"),
+            ("train.val_fraction", "-0.1", r"must be in \[0, 1\), got -0.1"),
+            ("train.class_weights", "1,1,1,1,1", "must be 4 numbers, got 1,1,1,1,1"),
+            ("train.lovasz_classes", "9", "must be class ids in 0..3, got 9"),
+            ("train.lovasz_classes", "1,-1", "must be class ids in 0..3, got 1,-1"),
         ],
     )
     def test_parser_rejects_at_set(self, key, value, message):
@@ -123,6 +132,10 @@ class TestRunConfig:
         assert cfg.get("distill.tckd_scope") == "moving"
         cfg.set("train.lovasz_classes", "")
         assert cfg.get("train.lovasz_classes") == ()
+        cfg.set("train.lovasz_classes", "0,3")
+        assert cfg.get("train.lovasz_classes") == (0, 3)
+        cfg.set("train.val_fraction", "0")
+        assert cfg.get("train.val_fraction") == 0.0
         assert isinstance(cfg.get("train.seed"), int) and isinstance(cfg.get("opt.lr"), float)
 
     def test_file_bad_value(self, tmp_path):

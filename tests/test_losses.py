@@ -18,16 +18,23 @@ import oracle_utils as oracle
 finite_logits = st.lists(st.floats(-8, 8), min_size=4, max_size=4).map(np.array)
 
 
-def grid_case(rng, h=3, w=4, invalid=True):
+def grid_case(rng, h=3, w=4, invalid=(0, 0)):
+    """Teacher and student grids and labels; ``invalid`` indexes the
+    invalid cells."""
     valid = np.ones((h, w), dtype=bool)
-    if invalid:
-        valid[0, 0] = False
+    valid[invalid] = False
     labels = rng.integers(0, 4, size=(h, w)).astype(np.uint8)
     labels[~valid] = 0
     lab = CellLabelGrid(labels=labels, valid=valid)
     zt = LogitGrid(rng.normal(0, 2, (h, w, 4)), valid)
     zs = LogitGrid(rng.normal(0, 2, (h, w, 4)), valid)
     return zt, zs, lab
+
+
+def rows_case(rng, m=11):
+    """(M, C) teacher and student logit rows with their labels."""
+    t = rng.integers(0, 4, size=m)
+    return rng.normal(0, 2, (m, 4)), rng.normal(0, 2, (m, 4)), t
 
 
 class TestSoftmax:
@@ -62,14 +69,8 @@ def one_cell(zt, zs, t, tau=1.0):
 
 
 def one_cell_wdcd(zt, zs, t, cfg):
-    """wdcd_frame of a 1x1 frame: its weight is 1, so at tau = 1 it is DCD."""
-    lab = CellLabelGrid(labels=np.array([[t]], np.uint8), valid=np.ones((1, 1), bool))
-    return losses.wdcd_frame(
-        LogitGrid(zt.reshape(1, 1, 4), lab.valid),
-        LogitGrid(zs.reshape(1, 1, 4), lab.valid),
-        lab,
-        cfg,
-    ).value
+    """wdcd_frame of a one-cell frame: its weight is 1, so at tau = 1 it is DCD."""
+    return losses.wdcd_frame(zt.reshape(1, 4), zs.reshape(1, 4), np.array([t]), cfg).value
 
 
 class TestTargetSplit:
@@ -216,70 +217,66 @@ class TestDcd:
 
 class TestFrameWeights:
     def make_labels(self, counts):
-        labels = np.concatenate(
-            [np.full(n, c, dtype=np.uint8) for c, n in enumerate(counts)]
-        )
-        labels = labels.reshape(1, -1)
-        return CellLabelGrid(labels=labels, valid=np.ones_like(labels, bool))
+        return np.concatenate([np.full(n, c, dtype=np.int64) for c, n in enumerate(counts)])
 
     def test_rare_moving(self):
-        lab = self.make_labels([0, 99, 0, 1])
-        w = losses.frame_weights(lab, DistillConfig())
+        t = self.make_labels([0, 99, 0, 1])
+        w = losses.frame_weights(t, DistillConfig())
         assert w[3] == pytest.approx(0.01)
 
     def test_single_class(self):
-        lab = self.make_labels([0, 10, 0, 0])
-        w = losses.frame_weights(lab, DistillConfig())
+        t = self.make_labels([0, 10, 0, 0])
+        w = losses.frame_weights(t, DistillConfig())
         assert w[1] == pytest.approx(1.0)
 
     def test_absent_class_floored(self):
-        lab = self.make_labels([0, 10, 0, 0])
-        w = losses.frame_weights(lab, DistillConfig())
+        t = self.make_labels([0, 10, 0, 0])
+        w = losses.frame_weights(t, DistillConfig())
         assert w[3] == pytest.approx(1.0 / 10)  # auto floor = 1 / valid cells
-        w2 = losses.frame_weights(lab, DistillConfig(weight_floor=1e-3))
+        w2 = losses.frame_weights(t, DistillConfig(weight_floor=1e-3))
         assert w2[3] == pytest.approx(1e-3)
 
     def test_unfloored_shares_sum_to_one(self, rng):
         counts = rng.integers(1, 30, size=4)
-        lab = self.make_labels(counts)
+        t = self.make_labels(counts)
         shares = counts / counts.sum()
         np.testing.assert_allclose(shares.sum(), 1.0)
-        w = losses.frame_weights(lab, DistillConfig(weight_floor=1e-12))
+        w = losses.frame_weights(t, DistillConfig(weight_floor=1e-12))
         np.testing.assert_allclose(w, shares, atol=1e-15)
 
     def test_empty_frame(self):
+        # a frame without valid cells has no class shares: total_loss
+        # raises before the weights are taken, whatever the floor
         lab = CellLabelGrid(
             labels=np.zeros((2, 2), np.uint8), valid=np.zeros((2, 2), bool)
         )
-        with pytest.raises(EmptyFrame):
-            losses.frame_weights(lab, DistillConfig())
+        z = LogitGrid(np.zeros((2, 2, 4)), lab.valid)
+        for floor in (None, 1e-3):
+            with pytest.raises(EmptyFrame):
+                losses.total_loss(z, z, lab, DistillConfig(weight_floor=floor), np.ones(4))
 
 
 class TestWdcdFrame:
     def test_equal_logits_zero(self, rng):
-        zt, _, lab = grid_case(rng)
-        out = losses.wdcd_frame(zt, zt, lab, DistillConfig())
+        zt, _, t = rows_case(rng)
+        out = losses.wdcd_frame(zt, zt, t, DistillConfig())
         assert out.value == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(out.grad, 0.0, atol=1e-12)
 
     def test_rare_class_upweighting(self):
         # one moving cell among 100, otherwise static: the moving cell's
         # per-cell weight is 100x a static cell's
-        h, w = 1, 100
-        labels = np.full((h, w), 1, np.uint8)
-        labels[0, 0] = 3
-        lab = CellLabelGrid(labels=labels, valid=np.ones((h, w), bool))
-        cfg = DistillConfig()
-        weights = losses.frame_weights(lab, cfg)
+        t = np.full(100, 1)
+        t[0] = 3
+        weights = losses.frame_weights(t, DistillConfig())
         assert (1.0 / weights[3]) / (1.0 / weights[1]) == pytest.approx(99.0)
 
     def test_count_scaling_is_exact(self):
         # same total, k x more moving cells: per-cell weight divides by k
         def weight_for(n_moving, total=120):
-            labels = np.full((1, total), 1, np.uint8)
-            labels[0, :n_moving] = 3
-            lab = CellLabelGrid(labels=labels, valid=np.ones((1, total), bool))
-            return 1.0 / losses.frame_weights(lab, DistillConfig())[3]
+            t = np.full(total, 1)
+            t[:n_moving] = 3
+            return 1.0 / losses.frame_weights(t, DistillConfig())[3]
 
         assert weight_for(2) == pytest.approx(weight_for(6) * 3.0)
 
@@ -288,60 +285,60 @@ class TestWdcdFrame:
             assert check_wdcd_grad(rng, DistillConfig()) < 1e-4
 
     def test_gradient_zero_at_invalid_cells(self, rng):
+        # zero class weights and no Lovasz class leave only the distillation
+        # term in total_loss's gradient
         zt, zs, lab = grid_case(rng)
-        out = losses.wdcd_frame(zt, zs, lab, DistillConfig())
+        cfg = DistillConfig()
+        out = losses.total_loss(zs, zt, lab, cfg, np.zeros(4), lovasz_classes=())
+        zt_rows, zs_rows, t, _ = term_rows(zt, zs, lab)
+        kd = losses.wdcd_frame(zt_rows, zs_rows, t, cfg)
         assert (out.grad[~lab.valid] == 0.0).all()
+        np.testing.assert_array_equal(out.grad[lab.valid], cfg.gamma * kd.grad)
 
     def test_matches_per_cell_scalar_composition(self, rng):
-        # frame value = tau^2 * mean over valid cells of dcd(cell) / w[label],
+        # frame value = tau^2 * mean over cells of dcd(cell) / w[label],
         # recomposed here from the scalar oracles
         for tau in (1.0, 2.0):
-            zt, zs, lab = grid_case(rng)
+            zt, zs, t = rows_case(rng)
             cfg = DistillConfig(temperature=tau, beta=1.5)
-            w = losses.frame_weights(lab, cfg)
-            cells = [
-                oracle.dcd(zt.scores[u, v], zs.scores[u, v], int(lab.labels[u, v]), cfg)
-                / w[lab.labels[u, v]]
-                for u, v in zip(*np.nonzero(lab.valid))
-            ]
+            w = losses.frame_weights(t, cfg)
+            cells = [oracle.dcd(zt[i], zs[i], int(t[i]), cfg) / w[t[i]] for i in range(len(t))]
             expected = tau * tau * float(np.mean(cells))
-            got = losses.wdcd_frame(zt, zs, lab, cfg).value
+            got = losses.wdcd_frame(zt, zs, t, cfg).value
             assert got == pytest.approx(expected, rel=1e-10)
+
+    # the frame checks of the distillation path run in total_loss
 
     def test_valid_mask_mismatch(self, rng):
         zt, zs, lab = grid_case(rng)
         other = np.ones_like(lab.valid)
-        with pytest.raises(ShapeMismatch):
-            losses.wdcd_frame(
-                LogitGrid(zt.scores, other), zs, lab, DistillConfig()
-            )
+        with pytest.raises(ShapeMismatch, match="teacher and student validity masks differ"):
+            losses.total_loss(zs, LogitGrid(zt.scores, other), lab, DistillConfig(), np.ones(4))
+        with pytest.raises(ShapeMismatch, match="logit and label validity masks differ"):
+            losses.total_loss(LogitGrid(zs.scores, other), zt, lab, DistillConfig(), np.ones(4))
 
     def test_empty_frame(self):
+        # with a teacher and without: the student terms need valid cells too
         lab = CellLabelGrid(
             labels=np.zeros((2, 2), np.uint8), valid=np.zeros((2, 2), bool)
         )
         z = LogitGrid(np.zeros((2, 2, 4)), lab.valid)
-        with pytest.raises(EmptyFrame):
-            losses.wdcd_frame(z, z, lab, DistillConfig())
+        for teacher, gamma in ((z, 0.25), (None, 0.0)):
+            with pytest.raises(EmptyFrame):
+                losses.total_loss(z, teacher, lab, DistillConfig(gamma=gamma), np.ones(4))
 
 
 class TestWeightedCrossEntropy:
     def test_confident_correct_is_near_zero(self):
-        labels = np.array([[2]], dtype=np.uint8)
-        lab = CellLabelGrid(labels=labels, valid=np.ones((1, 1), bool))
-        scores = np.zeros((1, 1, 4))
-        scores[0, 0, 2] = 50.0
+        scores = np.zeros((1, 4))
+        scores[0, 2] = 50.0
         out = losses.weighted_cross_entropy(
-            LogitGrid(scores, lab.valid), lab, np.ones(4)
+            losses.softmax_probs(scores), np.array([2]), np.ones(4)
         )
         assert out.value == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_logits_ln4(self):
-        labels = np.array([[0, 1], [2, 3]], dtype=np.uint8)
-        lab = CellLabelGrid(labels=labels, valid=np.ones((2, 2), bool))
-        out = losses.weighted_cross_entropy(
-            LogitGrid(np.zeros((2, 2, 4)), lab.valid), lab, np.ones(4)
-        )
+        out = losses.weighted_cross_entropy(np.full((4, 4), 0.25), np.arange(4), np.ones(4))
         assert out.value == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_gradient_finite_difference(self, rng):
@@ -349,11 +346,19 @@ class TestWeightedCrossEntropy:
             assert check_wce_grad(rng) < 1e-4
 
     def test_zero_weight_class_contributes_nothing(self, rng):
-        _, zs, lab = grid_case(rng)
+        _, zs, t = rows_case(rng)
         weights = np.array([0.0, 1.0, 1.0, 1.0])
-        out = losses.weighted_cross_entropy(zs, lab, weights)
-        unlabeled = lab.valid & (lab.labels == 0)
-        assert (out.grad[unlabeled] == 0.0).all()
+        out = losses.weighted_cross_entropy(losses.softmax_probs(zs), t, weights)
+        assert (t == 0).any()
+        assert (out.grad[t == 0] == 0.0).all()
+
+
+def term_rows(zt, zs, lab):
+    """The valid cells of a grid case as rows: teacher, student, labels,
+    student softmax."""
+    v = lab.valid
+    t = lab.labels[v].astype(np.int64)
+    return zt.scores[v], zs.scores[v], t, losses.softmax_probs(zs.scores[v])
 
 
 class TestTotalLoss:
@@ -362,10 +367,11 @@ class TestTotalLoss:
         cw = np.ones(4)
         cfg = DistillConfig(gamma=0.0)
         total = losses.total_loss(zs, zt, lab, cfg, cw)
-        wce = losses.weighted_cross_entropy(zs, lab, cw)
-        ls = losses.lovasz_softmax(zs, lab)
+        _, _, t, p = term_rows(zt, zs, lab)
+        wce = losses.weighted_cross_entropy(p, t, cw)
+        ls = losses.lovasz_softmax(p, t)
         assert total.value == pytest.approx(wce.value + ls.value, rel=1e-15)
-        np.testing.assert_array_equal(total.grad, wce.grad + ls.grad)
+        np.testing.assert_array_equal(total.grad[lab.valid], wce.grad + ls.grad)
 
     def test_default_gamma(self):
         assert DistillConfig().gamma == 0.25
@@ -375,11 +381,12 @@ class TestTotalLoss:
         cw = np.array([0.0, 1.0, 1.0, 1.0])
         cfg = DistillConfig()
         total = losses.total_loss(zs, zt, lab, cfg, cw)
-        wce = losses.weighted_cross_entropy(zs, lab, cw)
-        ls = losses.lovasz_softmax(zs, lab)
-        kd = losses.wdcd_frame(zt, zs, lab, cfg)
+        zt_rows, zs_rows, t, p = term_rows(zt, zs, lab)
+        wce = losses.weighted_cross_entropy(p, t, cw)
+        ls = losses.lovasz_softmax(p, t)
+        kd = losses.wdcd_frame(zt_rows, zs_rows, t, cfg)
         np.testing.assert_allclose(
-            total.grad, wce.grad + ls.grad + cfg.gamma * kd.grad, atol=1e-12
+            total.grad[lab.valid], wce.grad + ls.grad + cfg.gamma * kd.grad, atol=1e-12
         )
         assert total.value == pytest.approx(
             wce.value + ls.value + cfg.gamma * kd.value, abs=1e-12
@@ -389,6 +396,18 @@ class TestTotalLoss:
     def test_gradient_finite_difference(self, rng):
         for _ in range(3):
             assert check_total_grad(rng, DistillConfig()) < 1e-4
+
+    def test_gradient_zero_at_invalid_cells(self, rng):
+        # the one scatter: every term's gradient lands on the valid cells only
+        for cfg, classes in [
+            (DistillConfig(), None),
+            (DistillConfig(tckd_scope="all", temperature=2.0), (3,)),
+            (DistillConfig(gamma=0.0), (1, 2, 3)),
+        ]:
+            zt, zs, lab = grid_case(rng, h=4, w=5, invalid=(1, slice(2, None)))
+            out = losses.total_loss(zs, zt, lab, cfg, np.ones(4), classes)
+            assert (out.grad[~lab.valid] == 0.0).all()
+            assert (out.grad[lab.valid] != 0.0).any(axis=-1).all()
 
     def test_teacher_required_when_gamma_positive(self, rng):
         _, zs, lab = grid_case(rng)

@@ -3,7 +3,7 @@ import pytest
 
 from mosdistill import losses
 from mosdistill.bev import CellLabelGrid
-from mosdistill.losses import LogitGrid
+from mosdistill.losses import DistillConfig, LogitGrid
 from mosdistill.verify import (
     check_lovasz_grad,
     lovasz_class_loss_bruteforce,
@@ -12,11 +12,10 @@ from mosdistill.verify import (
 )
 
 
-def one_row_case(labels, scores):
-    labels = np.asarray(labels, dtype=np.uint8).reshape(1, -1)
-    scores = np.asarray(scores, dtype=np.float64).reshape(1, labels.shape[1], 4)
-    valid = np.ones_like(labels, dtype=bool)
-    return LogitGrid(scores, valid), CellLabelGrid(labels=labels, valid=valid)
+def rows_case(labels, scores):
+    """Student probabilities and labels of (M, C) logit rows."""
+    scores = np.asarray(scores, dtype=np.float64).reshape(-1, 4)
+    return losses.softmax_probs(scores), np.asarray(labels, dtype=np.int64)
 
 
 class TestLovaszSoftmax:
@@ -25,24 +24,21 @@ class TestLovaszSoftmax:
         scores = np.full((5, 4), -40.0)
         for i, c in enumerate(labels):
             scores[i, c] = 40.0
-        grid, lab = one_row_case(labels, scores)
-        out = losses.lovasz_softmax(grid, lab)
+        out = losses.lovasz_softmax(*rows_case(labels, scores))
         assert out.value == pytest.approx(0.0, abs=1e-12)
 
     def test_single_cell_is_plain_error(self):
         # one cell, true class 2 with p = 0.7: the extension collapses to
         # the error itself, 0.3
         p = np.array([0.1, 0.1, 0.7, 0.1])
-        grid, lab = one_row_case([2], np.log(p))
-        out = losses.lovasz_softmax(grid, lab)
+        out = losses.lovasz_softmax(*rows_case([2], np.log(p)))
         assert out.value == pytest.approx(0.3, abs=1e-12)
 
     def test_six_cell_instance_matches_set_function_oracle(self, rng):
-        z = rng.normal(0, 2, size=(1, 6, 4))
-        t = rng.integers(0, 4, size=(1, 6)).astype(np.uint8)
-        lab = CellLabelGrid(labels=t, valid=np.ones((1, 6), bool))
-        ours = losses.lovasz_softmax(LogitGrid(z, lab.valid), lab).value
-        ref = lovasz_value_bruteforce(z[0], t[0].astype(np.int64))
+        z = rng.normal(0, 2, size=(6, 4))
+        t = rng.integers(0, 4, size=6)
+        ours = losses.lovasz_softmax(losses.softmax_probs(z), t).value
+        ref = lovasz_value_bruteforce(z, t)
         assert ours == pytest.approx(ref, abs=1e-12)
 
     def test_oracle_suite(self):
@@ -54,31 +50,28 @@ class TestLovaszSoftmax:
             assert check_lovasz_grad(rng) < 1e-4
 
     def test_gradient_zero_at_invalid_cells(self, rng):
+        # zero class weights and gamma = 0 leave only the Lovasz term in
+        # total_loss's gradient
         valid = np.array([[True, False, True, True]])
         labels = np.array([[1, 0, 2, 1]], dtype=np.uint8)
         lab = CellLabelGrid(labels=labels, valid=valid)
         grid = LogitGrid(rng.normal(size=(1, 4, 4)), valid)
-        out = losses.lovasz_softmax(grid, lab)
+        out = losses.total_loss(grid, None, lab, DistillConfig(gamma=0.0), np.zeros(4))
+        ls = losses.lovasz_softmax(*rows_case(labels[valid], grid.scores[valid]))
         assert (out.grad[~valid] == 0.0).all()
+        np.testing.assert_array_equal(out.grad[valid], ls.grad)
 
     def test_classes_subset(self, rng):
-        labels = np.array([[1, 2, 3, 1]], dtype=np.uint8)
-        lab = CellLabelGrid(labels=labels, valid=np.ones((1, 4), bool))
-        grid = LogitGrid(rng.normal(size=(1, 4, 4)), lab.valid)
-        full = losses.lovasz_softmax(grid, lab)
-        only_moving = losses.lovasz_softmax(grid, lab, classes=(3,))
-        z = grid.scores[lab.valid]
-        t = lab.labels[lab.valid].astype(np.int64)
-        p = losses.softmax_probs(z)
+        p, t = rows_case([1, 2, 3, 1], rng.normal(size=(4, 4)))
+        full = losses.lovasz_softmax(p, t)
+        only_moving = losses.lovasz_softmax(p, t, classes=(3,))
         expected = lovasz_class_loss_bruteforce(p[:, 3], (t == 3).astype(np.float64))
         assert only_moving.value == pytest.approx(expected, abs=1e-12)
         assert full.value != pytest.approx(only_moving.value)
 
     def test_absent_subset_gives_zero(self, rng):
-        labels = np.array([[1, 1]], dtype=np.uint8)
-        lab = CellLabelGrid(labels=labels, valid=np.ones((1, 2), bool))
-        grid = LogitGrid(rng.normal(size=(1, 2, 4)), lab.valid)
-        out = losses.lovasz_softmax(grid, lab, classes=(3,))
+        p, t = rows_case([1, 1], rng.normal(size=(2, 4)))
+        out = losses.lovasz_softmax(p, t, classes=(3,))
         assert out.value == 0.0
         assert (out.grad == 0.0).all()
 
@@ -86,9 +79,8 @@ class TestLovaszSoftmax:
         # two identical errors: stable descending sort keeps index order,
         # so the result is deterministic and finite
         p = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]])
-        scores = np.log(np.maximum(p, 1e-12)).reshape(1, 2, 4)
-        grid, lab = one_row_case([0, 0], scores)
-        out1 = losses.lovasz_softmax(grid, lab)
-        out2 = losses.lovasz_softmax(grid, lab)
+        rows = rows_case([0, 0], np.log(np.maximum(p, 1e-12)))
+        out1 = losses.lovasz_softmax(*rows)
+        out2 = losses.lovasz_softmax(*rows)
         assert out1.value == out2.value
         np.testing.assert_array_equal(out1.grad, out2.grad)

@@ -131,8 +131,8 @@ class TestEvaluate:
         # at cell level; point level loses only the majority-vote quantization
         clouds, classes, poses = loaded
         samples = pipeline.build_samples(clouds, classes, poses, tiny_config)
-        cell_cm = metrics.ConfusionMatrix()
-        point_cm = metrics.ConfusionMatrix()
+        cell_cm = np.zeros((4, 4), dtype=np.int64)
+        point_cm = np.zeros((4, 4), dtype=np.int64)
         for s in samples:
             valid = s.labels.valid
             metrics.accumulate(cell_cm, s.labels.labels[valid], s.labels.labels[valid])
@@ -159,8 +159,6 @@ class TestEvaluate:
         assert train == list(range(8)) and held == [8, 9]
         train, held = pipeline.split_train_heldout(samples, 0.0)
         assert train == samples and held == []
-        with pytest.raises(ConfigError):
-            pipeline.split_train_heldout(samples, 1.0)
 
     def test_descriptors(self, tiny_config):
         assert pipeline.student_descriptor(tiny_config) == "student:in=4,base=8"

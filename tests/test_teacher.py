@@ -128,7 +128,8 @@ class TestSynthTeacher:
     def test_matching_student_gets_zero_distill_gradient(self, rng):
         lab = self.labels(rng)
         grid = teacher.synth_teacher(lab, 10.0, 0.0, seed=0)
-        out = losses.wdcd_frame(grid, grid, lab, DistillConfig())
+        rows, t = grid.scores[lab.valid], lab.labels[lab.valid].astype(np.int64)
+        out = losses.wdcd_frame(rows, rows, t, DistillConfig())
         assert out.value == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(out.grad, 0.0, atol=1e-12)
 
