@@ -29,14 +29,6 @@ class BevGrid:
     z_min: float = -4.0
     z_max: float = 2.0
 
-    def __post_init__(self) -> None:
-        if self.n_radial < 1 or self.n_angular < 1:
-            raise ValueError("grid dimensions must be >= 1")
-        if self.r_max <= 0:
-            raise ValueError("r_max must be positive")
-        if self.z_min >= self.z_max:
-            raise ValueError("z_min must be below z_max")
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_radial, self.n_angular)
@@ -68,23 +60,10 @@ class HeightImage:
 
 @dataclass(frozen=True)
 class MotionTensor:
-    """N motion channels; the first n2 carry I1 - I2, the rest I2 - I1.
+    """N motion channels; the first n2 carry I1 - I2, the rest I2 - I1."""
 
-    Optional appearance channels (raw per-frame height images) may follow
-    after the N residual channels.
-    """
-
-    channels: np.ndarray  # (C, H, W) float64, C >= N
+    channels: np.ndarray  # (N, H, W) float64
     n2: int
-    n_residual: int
-
-    def __post_init__(self) -> None:
-        if self.channels.ndim != 3:
-            raise ValueError("channels must be (C, H, W)")
-        if not (1 <= self.n2 < self.n_residual):
-            raise ValueError("need 1 <= n2 < n_residual")
-        if self.channels.shape[0] < self.n_residual:
-            raise ValueError("channel count below residual channel count")
 
 
 @dataclass(frozen=True)
@@ -191,19 +170,7 @@ def motion_residuals(q1: list[HeightImage], q2: list[HeightImage]) -> MotionTens
     channels = np.empty((n, *shape))
     channels[:n2] = diff
     channels[n2:] = -diff
-    return MotionTensor(channels=channels, n2=n2, n_residual=n)
-
-
-def append_appearance(tensor: MotionTensor, images: list[HeightImage]) -> MotionTensor:
-    """Concatenate raw per-frame height values after the residual channels."""
-    extra = np.stack([im.values for im in images])
-    if extra.shape[1:] != tensor.channels.shape[1:]:
-        raise ShapeMismatch("appearance images disagree with residual shape")
-    return MotionTensor(
-        channels=np.concatenate([tensor.channels, extra], axis=0),
-        n2=tensor.n2,
-        n_residual=tensor.n_residual,
-    )
+    return MotionTensor(channels=channels, n2=n2)
 
 
 def cell_labels(

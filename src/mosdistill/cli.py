@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bev, nnet, pipeline, teacher, verify
-from .config import RunConfig, checked, documented_defaults, positive_int
+from .config import RunConfig, documented_defaults, positive_int
 from .errors import ConfigError, MosDistillError, NonFiniteLoss, make_dirs, write_file
 from .metrics import write_metrics
 from .synthbench import export_kitti_sequence
@@ -46,12 +46,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args) -> RunConfig:
+    """The ``--config`` file with every ``--set`` applied, each value and
+    the cross-key rules checked."""
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig.defaults()
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         cfg.set(key.strip(), value.strip())
+    cfg.check()
     return cfg
 
 
@@ -168,31 +171,28 @@ def _load_labeled_sequence(args):
     return pipeline.load_sequence(args.seq)
 
 
-def _resolve_teacher(args, cfg: RunConfig, samples) -> RunConfig:
-    if args.teacher == "none":
-        cfg.set("distill.gamma", "0")
-        return cfg
+def _attach_teacher(args, cfg: RunConfig, samples) -> None:
     if args.teacher == "synth":
-        checked(
-            pipeline.attach_synth_teacher,
-            samples,
-            cfg.get("teacher.kappa"),
-            cfg.get("teacher.sigma"),
-            seed=cfg.get("train.seed"),
+        pipeline.attach_synth_teacher(
+            samples, cfg.get("teacher.kappa"), cfg.get("teacher.sigma"), seed=cfg.get("train.seed")
         )
-        return cfg
-    pipeline.attach_file_teacher(samples, args.teacher)
-    return cfg
+    elif args.teacher != "none":
+        pipeline.attach_file_teacher(samples, args.teacher)
 
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
+    if args.teacher == "none":
+        cfg.set("distill.gamma", "0")
+    elif args.teacher != "synth" and not Path(args.teacher).is_dir():
+        raise ConfigError(f"--teacher must be none, synth or a directory, got {args.teacher}")
     epochs = args.epochs if args.epochs is not None else cfg.get("train.epochs")
+    net = nnet.build_network(pipeline.student_descriptor(cfg), seed=cfg.get("train.seed"))
+    pipeline.check_network(net, cfg)
     clouds, classes, poses = _load_labeled_sequence(args)
     samples = pipeline.build_samples(clouds, classes, poses, cfg, threads=args.threads)
     train, heldout = pipeline.split_train_heldout(samples, cfg.get("train.val_fraction"))
-    cfg = _resolve_teacher(args, cfg, train)
-    net = nnet.build_network(pipeline.student_descriptor(cfg), seed=cfg.get("train.seed"))
+    _attach_teacher(args, cfg, train)
     lines: list[str] = []
 
     def progress(line: str) -> None:
@@ -210,6 +210,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     net = nnet.load_checkpoint(args.ckpt)
+    pipeline.check_network(net, cfg, args.ckpt)
     clouds, classes, poses = _load_labeled_sequence(args)
     counts = pipeline.map_windows(
         clouds, classes, poses, cfg, lambda s: pipeline.frame_confusion(net, s), args.threads
@@ -225,6 +226,7 @@ def cmd_eval(args) -> int:
 def cmd_export_logits(args) -> int:
     cfg = _load_config(args)
     net = nnet.load_checkpoint(args.ckpt)
+    pipeline.check_network(net, cfg, args.ckpt)
     clouds, classes, poses = pipeline.load_sequence(args.seq)
     out = Path(args.out)
 
@@ -252,9 +254,10 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
+    net = nnet.build_network(pipeline.student_descriptor(cfg), seed=cfg.get("train.seed"))
+    pipeline.check_network(net, cfg)
     clouds, classes, poses = pipeline.load_sequence(args.seq)
     idxs, build = pipeline.windows(clouds, classes, poses, cfg)
-    net = nnet.build_network(pipeline.student_descriptor(cfg), seed=cfg.get("train.seed"))
     proj_ms: list[float] = []
     infer_ms: list[float] = []
     for k in range(args.frames):

@@ -74,16 +74,6 @@ class DistillConfig:
     weight_floor: float | None = None
     tckd_scope: str = "moving"
 
-    def __post_init__(self) -> None:
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.beta < 0 or self.gamma < 0:
-            raise ValueError("beta and gamma must be non-negative")
-        if self.weight_floor is not None and self.weight_floor <= 0:
-            raise ValueError("weight_floor must be positive")
-        if self.tckd_scope not in TCKD_SCOPES:
-            raise ValueError(f"tckd_scope must be one of {TCKD_SCOPES}")
-
 
 @dataclass(frozen=True)
 class LossResult:

@@ -488,10 +488,6 @@ class SgdState:
     lr_decay: float = 0.99
     velocity: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         for name, p in params.items():
             g = grads[name]

@@ -89,7 +89,6 @@ def build_sample(
     grid: bev.BevGrid,
     window: int,
     split: int,
-    appearance: bool = False,
 ) -> FrameSample:
     """Project the window ending at ``index`` into one training sample."""
     first = index - window + 1
@@ -108,8 +107,6 @@ def build_sample(
     q1 = images[:split]
     q2 = images[split:]
     motion = bev.motion_residuals(q1, q2)
-    if appearance:
-        motion = bev.append_appearance(motion, images)
     labels = bev.cell_labels(current_cells, classes[index], grid)
     return FrameSample(
         frame_id=clouds[index].frame_id,
@@ -148,10 +145,9 @@ def windows(
     idxs = usable_frames(len(clouds), window)
     if not idxs:
         raise ConfigError(f"{len(clouds)} frames, too short for a window of {window}")
-    appearance = cfg.get("bev.appearance_channels")
 
     def build(i: int) -> FrameSample:
-        return build_sample(clouds, classes, poses, i, grid, window, split, appearance)
+        return build_sample(clouds, classes, poses, i, grid, window, split)
 
     return idxs, build
 
@@ -215,8 +211,8 @@ def attach_file_teacher(samples: list[FrameSample], logits_dir: str | Path) -> N
 
 
 def input_channels(cfg: RunConfig) -> int:
-    window, _ = cfg.window()
-    return window * 2 if cfg.get("bev.appearance_channels") else window
+    """One motion channel per frame of the window."""
+    return cfg.get("bev.window")
 
 
 def student_descriptor(cfg: RunConfig) -> str:
@@ -227,6 +223,33 @@ def teacher_descriptor(cfg: RunConfig) -> str:
     return f"teacher:in={input_channels(cfg)},base={2 * cfg.get('net.base_width')}"
 
 
+def _check_grid(h: int, w: int) -> None:
+    """ConfigError unless both sides of an h x w grid are multiples of 4:
+    the networks downsample twice by 2, so their output would not match
+    the label grid."""
+    if h % 4 or w % 4:
+        raise ConfigError(
+            "bev.n_radial and bev.n_angular must be multiples of 4 (the networks "
+            f"downsample twice by 2), got a {h}x{w} grid"
+        )
+
+
+def check_network(net: nnet.Network, cfg: RunConfig, ckpt: str | Path | None = None) -> None:
+    """Check that ``net`` can run on the samples of ``cfg``, before any scan
+    is read: the grid rule of ``_check_grid``, and for a network loaded from
+    the checkpoint ``ckpt``, ShapeMismatch naming the file unless it takes
+    one input channel per frame of the window."""
+    _check_grid(cfg.get("bev.n_radial"), cfg.get("bev.n_angular"))
+    if ckpt is None:
+        return
+    _, c_in, _ = nnet.parse_descriptor(net.descriptor)
+    if c_in != input_channels(cfg):
+        raise ShapeMismatch(
+            f"{ckpt}: the network takes {c_in} input channels, but "
+            f"bev.window={cfg.values['bev.window']} gives {input_channels(cfg)}"
+        )
+
+
 def student_forward(
     net: nnet.Network, sample: FrameSample, train: bool = True
 ) -> tuple[losses.LogitGrid, list]:
@@ -235,16 +258,10 @@ def student_forward(
     ``train=True`` is the training forward: float64, with the layer caches
     for ``backward``.  ``train=False`` is inference: the motion channels are
     cast to float32 and the forward keeps no caches.  A non-finite
-    activation or logit raises NonFiniteLoss naming the frame.  A grid side
-    that is not a multiple of 4 raises ConfigError: the networks downsample
-    twice by 2, so their output would not match the label grid.
+    activation or logit raises NonFiniteLoss naming the frame; a grid that
+    breaks the rule of ``_check_grid`` raises its ConfigError.
     """
-    h, w = sample.labels.valid.shape
-    if h % 4 or w % 4:
-        raise ConfigError(
-            "bev.n_radial and bev.n_angular must be multiples of 4 (the networks "
-            f"downsample twice by 2), got a {h}x{w} grid"
-        )
+    _check_grid(*sample.labels.valid.shape)
     fid = sample.frame_id
     x = sample.motion.channels if train else sample.motion.channels.astype(np.float32)
     try:

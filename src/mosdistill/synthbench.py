@@ -50,18 +50,6 @@ class SceneConfig:
     arena_radius: float = 40.0
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if min(self.n_frames, self.n_moving, self.n_static_movable, self.n_static) < 0:
-            raise ConfigError("counts must be non-negative")
-        if self.points_per_disc < 1:
-            raise ConfigError("points_per_disc must be >= 1")
-        if self.radius_range[0] <= 0 or self.radius_range[0] > self.radius_range[1]:
-            raise ConfigError("bad disc radius range")
-        if self.speed_range[0] < 0 or self.speed_range[0] > self.speed_range[1]:
-            raise ConfigError("bad speed range")
-        if self.arena_radius <= self.radius_range[1]:
-            raise ConfigError("arena must be larger than the largest disc")
-
 
 @dataclass(frozen=True)
 class DiscTruth:

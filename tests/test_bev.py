@@ -207,7 +207,7 @@ class TestMotionResiduals:
         q2 = [make_image(rng.uniform(0, 3, (4, 5))) for _ in range(2)]
         mt = bev.motion_residuals(q1, q2)
         for k in range(mt.n2):
-            for j in range(mt.n2, mt.n_residual):
+            for j in range(mt.n2, mt.channels.shape[0]):
                 np.testing.assert_array_equal(mt.channels[k], -mt.channels[j])
 
     def test_moving_object_cells(self):
@@ -248,15 +248,8 @@ class TestMotionResiduals:
             diff = window_pool_oracle(q1) - window_pool_oracle(q2)
             for k in range(mt.n2):
                 np.testing.assert_array_equal(mt.channels[k], diff)
-            for k in range(mt.n2, mt.n_residual):
+            for k in range(mt.n2, mt.channels.shape[0]):
                 np.testing.assert_array_equal(mt.channels[k], -diff)
-
-    def test_appearance_channels(self, rng):
-        imgs = [make_image(rng.uniform(0, 3, (3, 3))) for _ in range(4)]
-        mt = bev.motion_residuals(imgs[:2], imgs[2:])
-        full = bev.append_appearance(mt, imgs)
-        assert full.channels.shape[0] == 8
-        np.testing.assert_array_equal(full.channels[4], imgs[0].values)
 
 
 class TestCellLabels:

@@ -34,6 +34,14 @@ def zero_ckpt(tmp_path):
     return path
 
 
+@pytest.fixture
+def window8_ckpt(tmp_path):
+    """Checkpoint of an untrained student for the tiny config at bev.window=8."""
+    path = tmp_path / "w8.ckpt"
+    nnet.save_checkpoint(path, nnet.build_network("student:in=8,base=8"))
+    return path
+
+
 class TestSynthGen:
     def test_default_frame_count(self, tmp_path):
         out = tmp_path / "data"
@@ -65,6 +73,7 @@ class TestSynthGen:
             ("bev.per_frame_residuals", "false"),
             ("distill.moving_class", "3"),
             ("distill.prob_floor", "1e-12"),
+            ("bev.appearance_channels", "false"),
         ]:
             assert main(["synth-gen", "--out", str(tmp_path), "--set", f"{key}={value}"]) == 1
             old = tmp_path / "old.cfg"
@@ -231,53 +240,128 @@ class TestTrain:
         assert code != 0
 
 
+def command_argv(command, tmp_path, ckpt):
+    """``command`` with its outputs under ``tmp_path / "out"`` and, where it
+    reads one, a sequence that does not exist: a run that gets past its
+    up-front checks fails reading the sequence."""
+    out = tmp_path / "out"
+    seq = ["--seq", str(tmp_path / "missing")]
+    return [command, *{
+        "synth-gen": ["--out", str(out)],
+        "project": [*seq, "--out", str(out)],
+        "train": [*seq, "--out-ckpt", str(out), "--teacher", "synth", "--epochs", "1"],
+        "eval": [*seq, "--ckpt", str(ckpt), "--metrics-out", str(out)],
+        "export-logits": [*seq, "--ckpt", str(ckpt), "--out", str(out)],
+        "bench": [*seq, "--frames", "1", "--out", str(out)],
+    }[command]]
+
+
+GRID_MESSAGE = ("bev.n_radial and bev.n_angular must be multiples of 4 (the networks "
+                "downsample twice by 2), got a 30x36 grid")
+
+
 class TestBadConfigValue:
-    """Every bad config value exits 1 with one ``error:`` line naming the key
-    or field, and no checkpoint.  A value its key's parser rejects fails at
-    ``--set``, before the sequence is read, so those runs name a sequence
-    that does not exist; the others fail where the value is first built."""
+    """Every config range, every cross-key rule and the grid rule are checked
+    before any scan is read: each run below names a sequence that does not
+    exist, exits 1 with one ``error:`` line naming the key at fault, and
+    writes nothing."""
 
     @pytest.mark.parametrize(
-        "command, item, message, parsed",
+        "command, item, message",
         [
             ("train", "distill.weight_floor=abc",
-             "distill.weight_floor must be auto or a number, got abc", False),
-            ("train", "opt.lr=0", "lr must be positive, got 0.0", True),
-            ("train", "teacher.kappa=0", "teacher confidence kappa must be positive, got 0.0", True),
-            ("train", "teacher.sigma=-1", "teacher noise sigma must be non-negative, got -1.0",
-             True),
-            ("train", "train.seed=-5", "train.seed must be >= 0, got -5", False),
-            ("synth-gen", "scene.seed=-1", "scene.seed must be >= 0, got -1", False),
-            ("train", "net.base_width=0", "net.base_width must be >= 1, got 0", False),
-            ("train", "train.batch_size=0", "train.batch_size must be >= 1, got 0", False),
+             "distill.weight_floor must be auto or a number, got abc"),
+            ("train", "opt.lr=0", "opt.lr must be > 0, got 0"),
+            ("train", "teacher.kappa=0", "teacher.kappa must be > 0, got 0"),
+            ("train", "teacher.sigma=-1", "teacher.sigma must be >= 0, got -1"),
+            ("train", "train.seed=-5", "train.seed must be >= 0, got -5"),
+            ("synth-gen", "scene.seed=-1", "scene.seed must be >= 0, got -1"),
+            ("train", "net.base_width=0", "net.base_width must be >= 1, got 0"),
+            ("train", "train.batch_size=0", "train.batch_size must be >= 1, got 0"),
             ("train", "train.lovasz_classes=9",
-             "train.lovasz_classes must be class ids in 0..3, got 9", False),
-            ("train", "train.val_fraction=1", "train.val_fraction must be in [0, 1), got 1",
-             False),
-            ("train", "train.class_weights=1,1", "train.class_weights must be 4 numbers, got 1,1",
-             False),
-            ("train", "bev.r_max=inf", "bev.r_max must be a number, got inf", False),
-            ("train", "bev.z_min=-inf", "bev.z_min must be a number, got -inf", False),
+             "train.lovasz_classes must be class ids in 0..3, got 9"),
+            ("train", "train.val_fraction=1", "train.val_fraction must be in [0, 1), got 1"),
+            ("train", "train.class_weights=1,1", "train.class_weights must be 4 numbers, got 1,1"),
+            ("train", "bev.r_max=inf", "bev.r_max must be a number, got inf"),
+            ("train", "bev.z_min=-inf", "bev.z_min must be a number, got -inf"),
+            # counts >= 1
+            ("train", "bev.n_radial=0", "bev.n_radial must be >= 1, got 0"),
+            ("train", "bev.n_angular=0", "bev.n_angular must be >= 1, got 0"),
+            ("train", "bev.split=0", "bev.split must be >= 1, got 0"),
+            ("synth-gen", "scene.points_per_disc=0", "scene.points_per_disc must be >= 1, got 0"),
+            # integers >= 0
+            ("synth-gen", "scene.n_frames=-1", "scene.n_frames must be >= 0, got -1"),
+            ("synth-gen", "scene.n_moving=-1", "scene.n_moving must be >= 0, got -1"),
+            ("synth-gen", "scene.n_static_movable=-2",
+             "scene.n_static_movable must be >= 0, got -2"),
+            ("synth-gen", "scene.n_static=-1", "scene.n_static must be >= 0, got -1"),
+            # numbers > 0
+            ("train", "bev.r_max=0", "bev.r_max must be > 0, got 0"),
+            ("train", "distill.temperature=0", "distill.temperature must be > 0, got 0"),
+            ("eval", "distill.temperature=0", "distill.temperature must be > 0, got 0"),
+            ("synth-gen", "scene.radius_min=0", "scene.radius_min must be > 0, got 0"),
+            # numbers >= 0
+            ("train", "distill.beta=-1", "distill.beta must be >= 0, got -1"),
+            ("train", "distill.gamma=-0.5", "distill.gamma must be >= 0, got -0.5"),
+            ("synth-gen", "scene.speed_min=-0.5", "scene.speed_min must be >= 0, got -0.5"),
+            # the keys with named values
+            ("train", "distill.weight_floor=0", "distill.weight_floor must be auto or > 0, got 0"),
+            ("export-logits", "distill.tckd_scope=bogus",
+             "distill.tckd_scope must be moving or all, got bogus"),
+            # cross-key rules
+            ("train", "bev.z_min=2",
+             "bev.z_min must be < bev.z_max, got bev.z_min=2, bev.z_max=2.0"),
+            ("train", "bev.split=4",
+             "bev.split must be < bev.window, got bev.split=4, bev.window=4"),
+            ("project", "bev.split=5",
+             "bev.split must be < bev.window, got bev.split=5, bev.window=4"),
+            ("synth-gen", "scene.radius_min=4", "scene.radius_min must be <= scene.radius_max, "
+             "got scene.radius_min=4, scene.radius_max=3.0"),
+            ("synth-gen", "scene.speed_min=2", "scene.speed_min must be <= scene.speed_max, "
+             "got scene.speed_min=2, scene.speed_max=1.5"),
+            ("synth-gen", "scene.arena_radius=3", "scene.arena_radius must be > "
+             "scene.radius_max, got scene.arena_radius=3, scene.radius_max=3.0"),
+            # the grid rule, in every command that runs a network
+            ("train", "bev.n_radial=30", GRID_MESSAGE),
+            ("eval", "bev.n_radial=30", GRID_MESSAGE),
+            ("export-logits", "bev.n_radial=30", GRID_MESSAGE),
+            ("bench", "bev.n_radial=30", GRID_MESSAGE),
         ],
         ids=["weight_floor", "lr", "kappa", "sigma", "train_seed", "scene_seed", "base_width",
              "batch_size", "lovasz_classes", "val_fraction", "class_weights", "r_max_inf",
-             "z_min_inf"],
+             "z_min_inf", "n_radial", "n_angular", "split", "points_per_disc", "n_frames",
+             "n_moving", "n_static_movable", "n_static", "r_max", "temperature",
+             "eval-temperature", "radius_min", "beta", "gamma", "speed_min", "weight_floor_0",
+             "tckd_scope", "z_min_z_max", "split_window", "project-split_window",
+             "radius_min_max", "speed_min_max", "arena_radius", "grid-train", "grid-eval",
+             "grid-export-logits", "grid-bench"],
     )
-    def test_exits_one_naming_the_key(
-        self, seq_dir, tmp_path, capsys, command, item, message, parsed
-    ):
-        out = tmp_path / "out"
-        if command == "train":
-            seq = seq_dir if parsed else tmp_path / "missing"
-            argv = ["train", "--seq", str(seq), "--out-ckpt", str(out), "--teacher", "synth",
-                    "--epochs", "1"]
-        else:
-            argv = ["synth-gen", "--out", str(out)]
+    def test_exits_one_naming_the_key(self, tmp_path, zero_ckpt, capsys, command, item, message):
+        before = tree_bytes(tmp_path)
+        argv = command_argv(command, tmp_path, zero_ckpt)
         assert main([*argv, *tiny_cli_args(["--set", item])]) == 1
-        err = capsys.readouterr().err
-        assert err.splitlines() == [f"error: {message}"]
-        assert "Traceback" not in err
-        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert tree_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("teacher", ["synht", "no-such-dir/"])
+    def test_bad_teacher_exits_one(self, tmp_path, capsys, teacher):
+        argv = command_argv("train", tmp_path, None)
+        argv[argv.index("synth")] = teacher
+        assert main([*argv, *tiny_cli_args()]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --teacher must be none, synth or a directory, got {teacher}"
+        ]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["eval", "export-logits"])
+    def test_checkpoint_of_another_window_exits_two(
+        self, tmp_path, window8_ckpt, capsys, command
+    ):
+        assert main([*command_argv(command, tmp_path, window8_ckpt), *tiny_cli_args()]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {window8_ckpt}: the network takes 8 input channels, but bev.window=4 gives 4"
+        ]
+        assert not (tmp_path / "out").exists()
 
 
 class TestGridNotMultipleOfFour:
@@ -341,11 +425,11 @@ class TestEvalCmd:
         assert float(report["point_iou_moving"]) == 0.0
         assert float(report["cell_iou_moving"]) == 0.0
 
-    def test_window_longer_than_sequence_exits_one(self, seq_dir, tmp_path, zero_ckpt):
+    def test_window_longer_than_sequence_exits_one(self, seq_dir, tmp_path, window8_ckpt):
         out = tmp_path / "metrics.txt"
         args = tiny_cli_args(["--set", "bev.window=8"])  # the tiny scene has 7 frames
         code = main(
-            ["eval", "--seq", str(seq_dir), "--ckpt", str(zero_ckpt),
+            ["eval", "--seq", str(seq_dir), "--ckpt", str(window8_ckpt),
              "--metrics-out", str(out), *args]
         )
         assert code == 1
@@ -486,11 +570,13 @@ class TestExportLogits:
             np.testing.assert_array_equal(exported.scores, grid.scores.astype(np.float32))
             np.testing.assert_array_equal(exported.valid, grid.valid)
 
-    def test_window_longer_than_sequence_exits_one(self, seq_dir, tmp_path, zero_ckpt, capsys):
+    def test_window_longer_than_sequence_exits_one(
+        self, seq_dir, tmp_path, window8_ckpt, capsys
+    ):
         out = tmp_path / "logits"
         args = tiny_cli_args(["--set", "bev.window=8"])  # the tiny scene has 7 frames
         code = main(
-            ["export-logits", "--ckpt", str(zero_ckpt), "--seq", str(seq_dir),
+            ["export-logits", "--ckpt", str(window8_ckpt), "--seq", str(seq_dir),
              "--out", str(out), "--threads", "2", *args]
         )
         assert code == 1

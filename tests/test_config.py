@@ -1,10 +1,15 @@
 from argparse import ArgumentTypeError
+from dataclasses import fields
 
 import pytest
 
 from mosdistill import cli
+from mosdistill.bev import BevGrid
 from mosdistill.config import CONFIG_KEYS, RunConfig, documented_defaults, positive_int
 from mosdistill.errors import ConfigError
+from mosdistill.losses import DistillConfig
+from mosdistill.nnet import SgdState
+from mosdistill.synthbench import SceneConfig
 
 
 class TestRunConfig:
@@ -60,10 +65,16 @@ class TestRunConfig:
         assert (sgd.lr, sgd.momentum, sgd.weight_decay, sgd.lr_decay) == (0.005, 0.9, 1e-4, 0.99)
 
     def test_window_validation(self):
+        # split < window is a cross-key rule: set accepts it, check rejects it
         cfg = RunConfig.defaults()
         cfg.set("bev.split", "8")
-        with pytest.raises(ConfigError):
-            cfg.window()
+        assert cfg.window() == (8, 8)
+        with pytest.raises(
+            ConfigError, match=r"^bev.split must be < bev.window, got bev.split=8, bev.window=8$"
+        ):
+            cfg.check()
+        cfg.set("bev.window", "9")
+        cfg.check()
 
     def test_bad_numeric_value(self):
         cfg = RunConfig.defaults()
@@ -71,13 +82,6 @@ class TestRunConfig:
             cfg.set("opt.lr", "fast")
         assert cfg.get("opt.lr") == 0.005  # the rejected value left no trace
         assert cfg.values["opt.lr"] == "0.005"
-
-    def test_bool_parsing(self):
-        cfg = RunConfig.defaults()
-        cfg.set("bev.appearance_channels", "TRUE")
-        assert cfg.get("bev.appearance_channels") is True
-        with pytest.raises(ConfigError, match="must be true or false, got maybe"):
-            cfg.set("bev.appearance_channels", "maybe")
 
     def test_weight_floor_auto_and_numeric(self):
         cfg = RunConfig.defaults()
@@ -145,16 +149,34 @@ class TestRunConfig:
             RunConfig.from_file(path)
 
     def test_range_checks_raise_config_error(self):
-        for key, value, builder in [
-            ("opt.lr", "0", RunConfig.sgd),
-            ("distill.temperature", "0", RunConfig.distill),
-            ("bev.r_max", "-1", RunConfig.bev_grid),
-            ("scene.points_per_disc", "0", RunConfig.scene),
+        # a single key's range lives in its parser; the rejected value leaves no trace
+        for key, value, message in [
+            ("opt.lr", "0", "opt.lr must be > 0, got 0"),
+            ("distill.temperature", "0", "distill.temperature must be > 0, got 0"),
+            ("bev.r_max", "-1", "bev.r_max must be > 0, got -1"),
+            ("scene.points_per_disc", "0", "scene.points_per_disc must be >= 1, got 0"),
         ]:
             cfg = RunConfig.defaults()
-            cfg.set(key, value)
-            with pytest.raises(ConfigError):
-                builder(cfg)
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                cfg.set(key, value)
+            assert cfg.values == RunConfig.defaults().values
+
+    def test_section_keys_name_fields(self):
+        # _build reads a section key only if it names a field: a key that
+        # names none would be skipped silently, leaving the field's default
+        read_elsewhere = {
+            "bev.window", "bev.split",  # RunConfig.window
+            "scene.radius_min", "scene.radius_max", "scene.speed_min", "scene.speed_max",
+            "scene.ego_vx", "scene.ego_vy",  # the range fields RunConfig.scene derives
+        }
+        sections = {"bev": BevGrid, "distill": DistillConfig, "opt": SgdState,
+                    "scene": SceneConfig}
+        for key in CONFIG_KEYS:
+            section, _, name = key.partition(".")
+            if section in sections and key not in read_elsewhere:
+                assert name in {f.name for f in fields(sections[section])}, key
+        for key in read_elsewhere:
+            assert key in CONFIG_KEYS
 
     def test_one_count_parser(self):
         # the CLI's count flags use the config's count parser

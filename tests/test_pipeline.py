@@ -109,14 +109,6 @@ class TestBuildSamples:
         assert out == [(s.frame_id, s.motion.channels.sum()) for s in built]
         assert sorted(seen) == [s.frame_id for s in built]
 
-    def test_appearance_channels_double_width(self, loaded, tiny_config):
-        clouds, classes, poses = loaded
-        tiny_config.set("bev.appearance_channels", "true")
-        samples = pipeline.build_samples(clouds, classes, poses, tiny_config)
-        window, _ = tiny_config.window()
-        assert samples[0].motion.channels.shape[0] == 2 * window
-        assert pipeline.input_channels(tiny_config) == 2 * window
-
     def test_too_short_sequence(self, loaded, tiny_config):
         clouds, classes, poses = loaded
         with pytest.raises(ConfigError):

@@ -5,7 +5,8 @@ import pytest
 
 from mosdistill import losses, teacher
 from mosdistill.bev import CellLabelGrid
-from mosdistill.errors import FormatError, IoFailure
+from mosdistill.config import RunConfig
+from mosdistill.errors import ConfigError, FormatError, IoFailure
 from mosdistill.losses import DistillConfig, LogitGrid
 
 
@@ -133,9 +134,11 @@ class TestSynthTeacher:
         assert out.value == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(out.grad, 0.0, atol=1e-12)
 
-    def test_validation(self, rng):
-        lab = self.labels(rng)
-        with pytest.raises(ValueError):
-            teacher.synth_teacher(lab, confidence=0.0)
-        with pytest.raises(ValueError):
-            teacher.synth_teacher(lab, noise=-1.0)
+    def test_validation(self):
+        # kappa and sigma are checked where they are set, not by the teacher
+        cfg = RunConfig.defaults()
+        with pytest.raises(ConfigError, match=r"^teacher.kappa must be > 0, got 0$"):
+            cfg.set("teacher.kappa", "0")
+        with pytest.raises(ConfigError, match=r"^teacher.sigma must be >= 0, got -1$"):
+            cfg.set("teacher.sigma", "-1")
+        cfg.set("teacher.sigma", "0")  # a noise-free teacher is legal
