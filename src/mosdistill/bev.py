@@ -51,19 +51,10 @@ class CellIndexMap:
 
 
 @dataclass(frozen=True)
-class HeightImage:
-    """Per-cell height span (max z - min z); zero where unoccupied."""
-
-    values: np.ndarray    # (H, W) float64, >= 0
-    occupancy: np.ndarray  # (H, W) bool
-
-
-@dataclass(frozen=True)
 class MotionTensor:
-    """N motion channels; the first n2 carry I1 - I2, the rest I2 - I1."""
+    """N motion channels: the newer window's carry I1 - I2, the older's I2 - I1."""
 
     channels: np.ndarray  # (N, H, W) float64
-    n2: int
 
 
 @dataclass(frozen=True)
@@ -125,8 +116,9 @@ def project_to_cells(cloud: PointCloud, grid: BevGrid) -> CellIndexMap:
     return CellIndexMap(shape=grid.shape, flat=flat)
 
 
-def height_image(cells: CellIndexMap, cloud: PointCloud, grid: BevGrid) -> HeightImage:
-    """Height span per occupied cell over the assigned points."""
+def height_image(cells: CellIndexMap, cloud: PointCloud, grid: BevGrid) -> np.ndarray:
+    """The (H, W) float64 height image: per occupied cell the span
+    max z - min z of its assigned points, >= 0; zero where unoccupied."""
     if cells.flat.shape[0] != len(cloud):
         raise ShapeMismatch("cell map and cloud disagree in point count")
     h, w = grid.shape
@@ -142,12 +134,10 @@ def height_image(cells: CellIndexMap, cloud: PointCloud, grid: BevGrid) -> Heigh
     occupied = np.isfinite(zmax)
     values = np.zeros(n_cells)
     values[occupied] = zmax[occupied] - zmin[occupied]
-    return HeightImage(
-        values=values.reshape(h, w), occupancy=occupied.reshape(h, w)
-    )
+    return values.reshape(h, w)
 
 
-def motion_residuals(q1: list[HeightImage], q2: list[HeightImage]) -> MotionTensor:
+def motion_residuals(q1: list[np.ndarray], q2: list[np.ndarray]) -> MotionTensor:
     """Build the N = len(q1) + len(q2) motion channels from two windows.
 
     Each window pools to its per-cell max height span over the window's
@@ -156,21 +146,16 @@ def motion_residuals(q1: list[HeightImage], q2: list[HeightImage]) -> MotionTens
     """
     if not q1 or not q2:
         raise ShapeMismatch("both windows need at least one frame")
-    shape = q1[0].values.shape
-    for im in (*q1, *q2):
-        if im.values.shape != shape:
-            raise ShapeMismatch("window images disagree in shape")
-    n2 = len(q1)
-    n = n2 + len(q2)
-    # values are >= 0 and exactly 0 where unoccupied, so the plain max is
+    shape = q1[0].shape
+    if any(im.shape != shape for im in (*q1, *q2)):
+        raise ShapeMismatch("window images disagree in shape")
+    # spans are >= 0 and exactly 0 where unoccupied, so the plain max is
     # the max over the occupied frames, and 0 where no frame is occupied
-    i1 = np.max([im.values for im in q1], axis=0)
-    i2 = np.max([im.values for im in q2], axis=0)
-    diff = i1 - i2
-    channels = np.empty((n, *shape))
-    channels[:n2] = diff
-    channels[n2:] = -diff
-    return MotionTensor(channels=channels, n2=n2)
+    diff = np.max(q1, axis=0) - np.max(q2, axis=0)
+    channels = np.empty((len(q1) + len(q2), *shape))
+    channels[: len(q1)] = diff
+    channels[len(q1) :] = -diff
+    return MotionTensor(channels=channels)
 
 
 def cell_labels(

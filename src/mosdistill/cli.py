@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bev, nnet, pipeline, teacher, verify
 from .config import RunConfig, documented_defaults, positive_int
-from .errors import ConfigError, MosDistillError, NonFiniteLoss, make_dirs, write_file
+from .errors import ConfigError, IoFailure, MosDistillError, NonFiniteLoss, make_dirs, write_file
 from .metrics import write_metrics
 from .synthbench import export_kitti_sequence
 
@@ -146,7 +146,7 @@ def cmd_project(args) -> int:
         _save_npy(out / "cell_labels" / f"{name}.npy", sample.labels.labels)
         _save_npy(out / "cell_valid" / f"{name}.npy", sample.labels.valid)
         if args.render:
-            bev.write_pgm(sample.height.values, out / "render" / f"{name}_height.pgm")
+            bev.write_pgm(sample.height, out / "render" / f"{name}_height.pgm")
             for k, channel in enumerate(sample.motion.channels):
                 bev.write_pgm(channel, out / "render" / f"{name}_ch{k:02d}.pgm")
 
@@ -180,6 +180,16 @@ def _attach_teacher(args, cfg: RunConfig, samples) -> None:
         pipeline.attach_file_teacher(samples, args.teacher)
 
 
+def _check_teacher_files(teacher_dir: str, cfg: RunConfig, clouds) -> None:
+    """IoFailure naming the first training frame whose ``.logits`` file is
+    missing from ``teacher_dir``, before any sample is built."""
+    idxs = pipeline.usable_frames(len(clouds), cfg.get("bev.window"))
+    for i in pipeline.split_train_heldout(idxs, cfg.get("train.val_fraction"))[0]:
+        path = Path(teacher_dir) / teacher.logits_filename(clouds[i].frame_id)
+        if not path.is_file():
+            raise IoFailure(f"cannot read logits {path}: no such file")
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     if args.teacher == "none":
@@ -190,6 +200,8 @@ def cmd_train(args) -> int:
     net = nnet.build_network(pipeline.student_descriptor(cfg), seed=cfg.get("train.seed"))
     pipeline.check_network(net, cfg)
     clouds, classes, poses = _load_labeled_sequence(args)
+    if args.teacher not in ("none", "synth"):
+        _check_teacher_files(args.teacher, cfg, clouds)
     samples = pipeline.build_samples(clouds, classes, poses, cfg, threads=args.threads)
     train, heldout = pipeline.split_train_heldout(samples, cfg.get("train.val_fraction"))
     _attach_teacher(args, cfg, train)

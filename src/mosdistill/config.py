@@ -68,6 +68,7 @@ _natural = _within(_int, lambda v: v >= 0, ">= 0")
 _positive = _within(_float, lambda v: v > 0, "> 0")
 _nonnegative = _within(_float, lambda v: v >= 0, ">= 0")
 _fraction = _within(_float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+_decay = _within(_float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _floats = _as(
     lambda text: tuple(_number(tok) for tok in text.split(",")), "comma-separated numbers"
 )
@@ -127,9 +128,9 @@ CONFIG_KEYS: dict[str, _Key] = {
     "teacher.sigma": _Key("1.0", "synthetic teacher logit noise", _nonnegative),
     "net.base_width": _Key("16", "student channel width; teacher doubles it", _count),
     "opt.lr": _Key("0.005", "initial learning rate", _positive),
-    "opt.momentum": _Key("0.9", "SGD momentum", _float),
-    "opt.weight_decay": _Key("0.0001", "coupled weight decay", _float),
-    "opt.lr_decay": _Key("0.99", "learning-rate factor applied after each epoch", _float),
+    "opt.momentum": _Key("0.9", "SGD momentum", _fraction),
+    "opt.weight_decay": _Key("0.0001", "coupled weight decay", _nonnegative),
+    "opt.lr_decay": _Key("0.99", "learning-rate factor applied after each epoch", _decay),
     "train.epochs": _Key("150", "full-scale epoch count (see --epochs)", _count),
     "train.batch_size": _Key("8", "frames per optimizer step", _count),
     "train.seed": _Key("0", "master seed for init, shuffling, synth teacher", _natural),

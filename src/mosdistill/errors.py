@@ -71,11 +71,11 @@ class LabelCountMismatch(DataError):
 
 
 class MalformedPoseLine(DataError):
-    """A pose line does not hold 12 finite floats."""
+    """A pose line does not hold the 12 floats of a rigid transform."""
 
 
 class MalformedCalib(DataError):
-    """Calibration file lacks a well-formed extrinsic line."""
+    """A calib file lacks a ``Tr:`` line holding a rigid extrinsic."""
 
 
 class ShapeMismatch(DataError):

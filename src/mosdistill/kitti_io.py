@@ -61,22 +61,6 @@ CANONICAL_SEMANTIC_ID = {
 }
 
 
-def _rigid_check(matrix: np.ndarray, what: str) -> np.ndarray:
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.shape != (4, 4):
-        raise ValueError(f"{what} must be 4x4, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{what} contains non-finite entries")
-    if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
-        raise ValueError(f"{what} bottom row must be [0,0,0,1]")
-    r = m[:3, :3]
-    if np.abs(r.T @ r - np.eye(3)).max() > 1e-6:
-        raise ValueError(f"{what} rotation block is not orthonormal within 1e-6")
-    if np.linalg.det(r) < 0.0:
-        raise ValueError(f"{what} rotation block is a reflection")
-    return m
-
-
 @dataclass(frozen=True)
 class PointCloud:
     """One LiDAR frame: an (N, 4) array of (x, y, z, intensity)."""
@@ -99,19 +83,29 @@ class PointCloud:
     def xyz(self) -> np.ndarray:
         return self.points[:, :3]
 
-    @property
-    def intensity(self) -> np.ndarray:
-        return self.points[:, 3]
-
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid 4x4 transform (row-major, meters)."""
+    """Rigid 4x4 transform (row-major, meters): a pose, or the camera-to-LiDAR
+    extrinsic ``Tr`` of a KITTI odometry calib file.  A matrix that is not
+    rigid raises ValueError."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _rigid_check(self.matrix, "pose"))
+        m = np.asarray(self.matrix, dtype=np.float64)
+        if m.shape != (4, 4):
+            raise ValueError(f"must be 4x4, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("contains non-finite entries")
+        if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
+            raise ValueError("bottom row must be [0,0,0,1]")
+        r = m[:3, :3]
+        if np.abs(r.T @ r - np.eye(3)).max() > 1e-6:
+            raise ValueError("rotation block is not orthonormal within 1e-6")
+        if np.linalg.det(r) < 0.0:
+            raise ValueError("rotation block is a reflection")
+        object.__setattr__(self, "matrix", m)
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -134,20 +128,6 @@ class Pose:
 
     def __matmul__(self, other: "Pose") -> "Pose":
         return Pose(self.matrix @ other.matrix)
-
-
-@dataclass(frozen=True)
-class Calibration:
-    """Camera-to-LiDAR extrinsic (``Tr`` in KITTI odometry calib files)."""
-
-    tr: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tr", _rigid_check(self.tr, "calibration Tr"))
-
-    @classmethod
-    def identity(cls) -> "Calibration":
-        return cls(np.eye(4))
 
 
 def read_scan(path: str | Path) -> PointCloud:
@@ -205,44 +185,41 @@ def _frame_id_from_name(path: Path) -> int:
     return int(stem) if stem.isdigit() else 0
 
 
-def _parse_3x4(tokens: list[str], error: type[Exception], where: str) -> np.ndarray:
-    """12 finite floats lifted to a 4x4 matrix; anything else raises
-    ``error`` with a message prefixed by ``where``."""
+def _parse_pose(tokens: list[str], error: type[Exception], where: str) -> Pose:
+    """12 floats of a rigid 3x4 transform lifted to a Pose; anything else
+    raises ``error`` with a message prefixed by ``where``."""
     if len(tokens) != 12:
         raise error(f"{where}: expected 12 values, got {len(tokens)}")
+    m = np.eye(4)
     try:
-        row = np.array([float(tok) for tok in tokens], dtype=np.float64)
+        m[:3, :] = np.array([float(tok) for tok in tokens]).reshape(3, 4)
+        return Pose(m)
     except ValueError as exc:
         raise error(f"{where}: {exc}") from exc
-    if not np.isfinite(row).all():
-        raise error(f"{where}: non-finite value")
-    m = np.eye(4)
-    m[:3, :] = row.reshape(3, 4)
-    return m
 
 
-def read_poses(path: str | Path, calib: Calibration) -> list[Pose]:
+def read_poses(path: str | Path, calib: Pose) -> list[Pose]:
     """Read camera-frame poses and convert them to the LiDAR frame.
 
     Each pose is conjugated by the extrinsic: T_velo = Tr^-1 . T_cam . Tr.
     """
     path = Path(path)
     text = read_file(path, "poses", text=True)
-    tr = calib.tr
-    tr_inv = Pose(tr).inverse().matrix
+    tr = calib.matrix
+    tr_inv = calib.inverse().matrix
     poses = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        t_cam = _parse_3x4(line.split(), MalformedPoseLine, f"{path}:{lineno}")
-        poses.append(Pose(tr_inv @ t_cam @ tr))
+        t_cam = _parse_pose(line.split(), MalformedPoseLine, f"{path}:{lineno}")
+        poses.append(Pose(tr_inv @ t_cam.matrix @ tr))
     return poses
 
 
-def write_poses(poses: list[Pose], path: str | Path, calib: Calibration) -> None:
+def write_poses(poses: list[Pose], path: str | Path, calib: Pose) -> None:
     """Inverse of :func:`read_poses`: LiDAR-frame poses back to camera-frame lines."""
-    tr = calib.tr
-    tr_inv = Pose(tr).inverse().matrix
+    tr = calib.matrix
+    tr_inv = calib.inverse().matrix
     lines = []
     for pose in poses:
         t_cam = tr @ pose.matrix @ tr_inv
@@ -250,17 +227,17 @@ def write_poses(poses: list[Pose], path: str | Path, calib: Calibration) -> None
     write_file(path, "\n".join(lines) + "\n", "poses")
 
 
-def read_calib(path: str | Path) -> Calibration:
+def read_calib(path: str | Path) -> Pose:
     """Extract the ``Tr:`` extrinsic from a KITTI odometry calib file."""
     path = Path(path)
     for line in read_file(path, "calib", text=True).splitlines():
         if line.startswith("Tr:"):
-            return Calibration(_parse_3x4(line.split()[1:], MalformedCalib, f"{path}: Tr"))
+            return _parse_pose(line.split()[1:], MalformedCalib, f"{path}: Tr")
     raise MalformedCalib(f"{path}: no line starting with 'Tr:'")
 
 
-def write_calib(calib: Calibration, path: str | Path) -> None:
-    line = "Tr: " + " ".join(f"{v:.17g}" for v in calib.tr[:3, :].ravel())
+def write_calib(calib: Pose, path: str | Path) -> None:
+    line = "Tr: " + " ".join(f"{v:.17g}" for v in calib.matrix[:3, :].ravel())
     write_file(path, line + "\n", "calib")
 
 

@@ -82,11 +82,10 @@ class LossResult:
     parts: dict[str, float] = field(default_factory=dict)
 
 
-def softmax_probs(z: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Temperature softmax over the last axis, max-shifted for stability."""
-    zt = np.asarray(z, dtype=np.float64) / temperature
-    zt = zt - zt.max(axis=-1, keepdims=True)
-    e = np.exp(zt)
+def softmax_probs(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, max-shifted for stability."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 

@@ -18,26 +18,17 @@ import numpy as np
 from .errors import IndexOutOfRange, LengthMismatch, read_file, write_file
 from .kitti_io import CLASS_NAMES, CLASS_UNLABELED, NUM_CLASSES
 
-DEFAULT_IGNORE = frozenset({CLASS_UNLABELED})
 
-
-def accumulate(
-    cm: np.ndarray,
-    preds: np.ndarray,
-    truth: np.ndarray,
-    ignore: frozenset[int] = DEFAULT_IGNORE,
-) -> np.ndarray:
+def accumulate(cm: np.ndarray, preds: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Count (truth, pred) pairs into the counts cm in place, skipping
-    ignored truth classes; returns cm."""
+    unlabeled truth; returns cm."""
     preds = np.asarray(preds).ravel()
     truth = np.asarray(truth).ravel()
     if preds.shape != truth.shape:
         raise LengthMismatch(
             f"{preds.shape[0]} predictions vs {truth.shape[0]} truths"
         )
-    keep = np.ones(truth.shape, dtype=bool)
-    for c in ignore:
-        keep &= truth != c
+    keep = truth != CLASS_UNLABELED
     t = truth[keep].astype(np.int64)
     p = preds[keep].astype(np.int64)
     if t.size and (min(t.min(), p.min()) < 0 or max(t.max(), p.max()) >= NUM_CLASSES):

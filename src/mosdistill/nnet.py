@@ -64,12 +64,7 @@ class Conv2d:
     """
 
     def __init__(
-        self,
-        c_in: int,
-        c_out: int,
-        kernel: int = 3,
-        stride: int = 1,
-        rng: np.random.Generator | None = None,
+        self, c_in: int, c_out: int, rng: np.random.Generator, kernel: int = 3, stride: int = 1
     ) -> None:
         if stride not in (1, 2):
             raise ValueError("stride must be 1 or 2")
@@ -77,10 +72,7 @@ class Conv2d:
         self.kernel, self.stride = kernel, stride
         self.padding = (kernel - 1) // 2
         bound = np.sqrt(6.0 / (c_in * kernel * kernel))
-        if rng is None:
-            w = np.zeros((c_out, c_in, kernel, kernel))
-        else:
-            w = rng.uniform(-bound, bound, size=(c_out, c_in, kernel, kernel))
+        w = rng.uniform(-bound, bound, size=(c_out, c_in, kernel, kernel))
         self.params = {"w": w, "b": np.zeros(c_out)}
 
     def out_shape(self, h: int, w: int) -> tuple[int, int]:
@@ -218,7 +210,7 @@ class DySample:
     """Content-aware upsampler: offset-shifted bilinear resampling.
 
     A linear layer maps the C input channels to 2*s^2 offset channels,
-    scaled by ``offset_factor`` and pixel-shuffled to two (row, col)
+    scaled by ``OFFSET_FACTOR`` and pixel-shuffled to two (row, col)
     offset maps at the output resolution.  Sampling positions are the
     regular base grid plus these offsets, clamped to the input's pixel
     center span.  Zero linear weights reproduce bilinear upsampling
@@ -230,12 +222,12 @@ class DySample:
     sums its terms in that fixed order, which keeps gradients bit-exact.
     """
 
-    def __init__(self, c_in: int, scale: int = 2, offset_factor: float = 0.25) -> None:
+    OFFSET_FACTOR = 0.25
+
+    def __init__(self, c_in: int, scale: int = 2) -> None:
         if scale < 2:
             raise ValueError("scale must be >= 2")
-        if offset_factor < 0:
-            raise ValueError("offset factor must be non-negative")
-        self.c_in, self.scale, self.offset_factor = c_in, scale, offset_factor
+        self.c_in, self.scale = c_in, scale
         self.params = {
             "linear_w": np.zeros((2 * scale * scale, c_in)),
             "linear_b": np.zeros(2 * scale * scale),
@@ -248,7 +240,7 @@ class DySample:
             np.tensordot(self.params["linear_w"].astype(x.dtype, copy=False), x, axes=1)
             + self.params["linear_b"].astype(x.dtype, copy=False)[:, None, None]
         )
-        offsets = _pixel_shuffle(self.offset_factor * raw, s)  # (2, sH, sW)
+        offsets = _pixel_shuffle(self.OFFSET_FACTOR * raw, s)  # (2, sH, sW)
         base_y = ((np.arange(h * s, dtype=x.dtype) + 0.5) / s)[:, None]
         base_x = ((np.arange(w * s, dtype=x.dtype) + 0.5) / s)[None, :]
         raw_y = base_y + offsets[0]
@@ -257,7 +249,7 @@ class DySample:
         free_x = (raw_x > 0.5) & (raw_x < w - 0.5)
         pos_y = np.clip(raw_y, 0.5, h - 0.5)
         pos_x = np.clip(raw_x, 0.5, w - 0.5)
-        return raw, pos_y, pos_x, free_y, free_x, raw_y, raw_x
+        return pos_y, pos_x, free_y, free_x, raw_y, raw_x
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Bilinear resampling of ``x`` at the offset positions.
@@ -271,7 +263,7 @@ class DySample:
         if x.shape[0] != self.c_in:
             raise ShapeMismatch(f"expected {self.c_in} input channels, got {x.shape[0]}")
         c, h, w = x.shape
-        _, pos_y, pos_x, free_y, free_x, _, _ = self._positions(x)
+        pos_y, pos_x, free_y, free_x, _, _ = self._positions(x)
         if np.isnan(pos_y).any() or np.isnan(pos_x).any():
             # a NaN position has no pixel to gather from
             raise NonFiniteLoss("non-finite DySample sampling positions")
@@ -340,7 +332,7 @@ class DySample:
         g_pos_x = dx.sum(axis=0) * free_x
 
         g_offsets = np.stack([g_pos_y, g_pos_x])
-        g_raw = self.offset_factor * _pixel_unshuffle(g_offsets, s)
+        g_raw = self.OFFSET_FACTOR * _pixel_unshuffle(g_offsets, s)
         gw = np.tensordot(g_raw, x, axes=([1, 2], [1, 2]))
         gb = g_raw.sum(axis=(1, 2))
         gx += np.tensordot(self.params["linear_w"].T, g_raw, axes=1)

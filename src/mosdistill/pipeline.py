@@ -40,7 +40,7 @@ class FrameSample:
     labels: bev.CellLabelGrid
     cells: bev.CellIndexMap        # current frame's assignment, for back-projection
     point_classes: np.ndarray      # current frame's per-point truth
-    height: bev.HeightImage        # current frame's height image
+    height: np.ndarray             # current frame's height image
     teacher_logits: losses.LogitGrid | None = None
 
 
@@ -418,13 +418,10 @@ def evaluate(net: nnet.Network, samples: list[FrameSample]) -> dict[str, object]
     return confusion_report([frame_confusion(net, s) for s in samples])
 
 
-def split_train_heldout(
-    samples: list[FrameSample], val_fraction: float
-) -> tuple[list[FrameSample], list[FrameSample]]:
-    """Temporal split: the trailing fraction (in [0, 1)) is held out."""
-    n_val = int(round(len(samples) * val_fraction))
-    if n_val == 0:
+def split_train_heldout(samples: list, val_fraction: float) -> tuple[list, list]:
+    """Temporal split: the trailing fraction (in [0, 1)) is held out, but
+    always at least one sample stays for training."""
+    n_val = min(int(round(len(samples) * val_fraction)), len(samples) - 1)
+    if n_val <= 0:
         return samples, []
-    if n_val >= len(samples):
-        n_val = len(samples) - 1
     return samples[:-n_val], samples[-n_val:]

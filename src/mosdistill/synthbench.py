@@ -20,7 +20,6 @@ from .kitti_io import (
     CLASS_MOVABLE,
     CLASS_MOVING,
     CLASS_STATIC,
-    Calibration,
     PointCloud,
     Pose,
     classes_to_raw_labels,
@@ -66,7 +65,6 @@ class DiscTruth:
 @dataclass(frozen=True)
 class SceneTruth:
     discs: list[DiscTruth]
-    n_background: int
 
 
 def gen_scene(
@@ -135,7 +133,7 @@ def gen_scene(
         frames.append(PointCloud(points=pts, frame_id=f))
         labels.append(classes.copy())
         poses.append(Pose.from_rt(np.eye(3), np.array([f * ego[0], f * ego[1], 0.0])))
-    truth = SceneTruth(discs=discs, n_background=cfg.n_static)
+    truth = SceneTruth(discs=discs)
     return frames, labels, poses, truth
 
 
@@ -188,20 +186,19 @@ def _place_disc(
     )
 
 
-def export_kitti_sequence(
-    cfg: SceneConfig, seq_dir: str | Path, calib: Calibration | None = None
-) -> int:
+def export_kitti_sequence(cfg: SceneConfig, seq_dir: str | Path) -> int:
     """Write a generated scene in the SemanticKITTI sequence layout.
 
     Returns the number of frames written.  The directory becomes
     ``{seq_dir}/velodyne/*.bin``, ``labels/*.label``, ``poses.txt``,
-    ``calib.txt`` and runs through the standard readers unmodified.
+    ``calib.txt`` (an identity ``Tr``) and runs through the standard
+    readers unmodified.
     """
     frames, labels, poses = gen_sequence(cfg)
     seq_dir = Path(seq_dir)
     make_dirs(seq_dir / "velodyne", "sequence directory")
     make_dirs(seq_dir / "labels", "sequence directory")
-    calib = calib if calib is not None else Calibration.identity()
+    calib = Pose.identity()
     for cloud, classes in zip(frames, labels):
         write_scan(cloud, seq_dir / "velodyne" / f"{cloud.frame_id:06d}.bin")
         write_labels(

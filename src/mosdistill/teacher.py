@@ -75,10 +75,7 @@ def read_logits(path: str | Path) -> LogitGrid:
 
 
 def synth_teacher(
-    labels: CellLabelGrid,
-    confidence: float = 10.0,
-    noise: float = 0.0,
-    seed: int = 0,
+    labels: CellLabelGrid, confidence: float, noise: float, seed: int
 ) -> LogitGrid:
     """Label-conditioned teacher: kappa on the true class plus gaussian noise.
 

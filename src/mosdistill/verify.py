@@ -34,6 +34,9 @@ GRAD_TOL = 1e-4
 IDENTITY_TOL = 1e-9
 DYSAMPLE_TOL = 1e-6
 LOVASZ_ORACLE_TOL = 1e-12
+#: smallest gap between sorted Lovasz errors in a tie-free draw, and
+#: between a DySample position and a kink in a kink-free one
+KINK_MARGIN = 1e-4
 
 
 @dataclass
@@ -55,19 +58,19 @@ class SuiteResult:
         )
 
 
-def finite_difference(f: Callable[[], float], x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+def finite_difference(f: Callable[[], float], x: np.ndarray) -> np.ndarray:
     """Central differences of f() with respect to the in-place mutated x."""
     g = np.zeros(x.shape)
     flat = x.reshape(-1)
     gflat = g.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + FD_STEP
         fp = f()
-        flat[i] = orig - h
+        flat[i] = orig - FD_STEP
         fm = f()
         flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
+        gflat[i] = (fp - fm) / (2.0 * FD_STEP)
     return g
 
 
@@ -100,11 +103,11 @@ def decomposition_residual(
     return np.abs(kd - (split.tckd + (1.0 - split.q_t) * split.nckd))
 
 
-def suite_identity(n_draws: int = 1000, seed: int = 11) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    zt = rng.normal(0.0, 2.0, size=(n_draws, NUM_CLASSES))
-    zs = rng.normal(0.0, 2.0, size=(n_draws, NUM_CLASSES))
-    t = rng.integers(NUM_CLASSES, size=n_draws)
+def suite_identity() -> SuiteResult:
+    rng = np.random.default_rng(11)
+    zt = rng.normal(0.0, 2.0, size=(1000, NUM_CLASSES))
+    zs = rng.normal(0.0, 2.0, size=(1000, NUM_CLASSES))
+    t = rng.integers(NUM_CLASSES, size=1000)
     worst = max(
         float(decomposition_residual(zt, zs, t, tau).max()) for tau in (1.0, 2.0, 4.0)
     )
@@ -115,7 +118,7 @@ def suite_identity(n_draws: int = 1000, seed: int = 11) -> SuiteResult:
 # gradcheck suite
 
 
-def _random_grid_case(rng: np.random.Generator, tie_free: bool = False, min_gap: float = 1e-4):
+def _random_grid_case(rng: np.random.Generator, tie_free: bool = False):
     """Random 3x4 logit pair + labels with a few invalid cells.  With
     ``tie_free`` the draw repeats while any per-class Lovasz error vector
     has near-ties: the extension is piecewise linear and FD is undefined
@@ -129,12 +132,12 @@ def _random_grid_case(rng: np.random.Generator, tie_free: bool = False, min_gap:
         lab = CellLabelGrid(labels=labels, valid=valid)
         zt = rng.normal(0.0, 2.0, size=(3, 4, NUM_CLASSES))
         zs = rng.normal(0.0, 2.0, size=(3, 4, NUM_CLASSES))
-        if not tie_free or _lovasz_gap(zs, lab, min_gap):
+        if not tie_free or _lovasz_gap(zs, lab):
             return zt, zs, lab
     raise RuntimeError("could not draw a tie-free instance")
 
 
-def _lovasz_gap(zs: np.ndarray, lab: CellLabelGrid, min_gap: float) -> bool:
+def _lovasz_gap(zs: np.ndarray, lab: CellLabelGrid) -> bool:
     """True when every per-class error vector is free of near-ties."""
     z = zs[lab.valid]
     t = lab.labels[lab.valid].astype(np.int64)
@@ -142,7 +145,7 @@ def _lovasz_gap(zs: np.ndarray, lab: CellLabelGrid, min_gap: float) -> bool:
     for c in np.unique(t):
         pc = p[:, c]
         m = np.sort(np.where(t == c, 1.0 - pc, pc))
-        if m.size > 1 and np.diff(m).min() < min_gap:
+        if m.size > 1 and np.diff(m).min() < KINK_MARGIN:
             return False
     return True
 
@@ -154,10 +157,10 @@ def _loss_grad_error(loss: Callable[[np.ndarray], losses.LossResult], z: np.ndar
     return grad_error(analytic, numeric)
 
 
-def _random_rows_case(rng: np.random.Generator, tie_free: bool = False, min_gap: float = 1e-4):
+def _random_rows_case(rng: np.random.Generator, tie_free: bool = False):
     """The valid cells of ``_random_grid_case`` as (M, C) teacher and
     student rows and their labels."""
-    zt, zs, lab = _random_grid_case(rng, tie_free, min_gap)
+    zt, zs, lab = _random_grid_case(rng, tie_free)
     return zt[lab.valid], zs[lab.valid], lab.labels[lab.valid].astype(np.int64)
 
 
@@ -174,15 +177,15 @@ def check_wce_grad(rng: np.random.Generator) -> float:
     )
 
 
-def check_lovasz_grad(rng: np.random.Generator, min_gap: float = 1e-4) -> float:
-    _, zs, t = _random_rows_case(rng, tie_free=True, min_gap=min_gap)
+def check_lovasz_grad(rng: np.random.Generator) -> float:
+    _, zs, t = _random_rows_case(rng, tie_free=True)
     return _loss_grad_error(lambda s: losses.lovasz_softmax(losses.softmax_probs(s), t), zs)
 
 
-def check_total_grad(rng: np.random.Generator, cfg: DistillConfig, min_gap: float = 1e-4) -> float:
+def check_total_grad(rng: np.random.Generator, cfg: DistillConfig) -> float:
     """FD check at grid level, invalid cells included, so the scatter of
     the row gradient is checked too."""
-    zt, zs, lab = _random_grid_case(rng, tie_free=True, min_gap=min_gap)
+    zt, zs, lab = _random_grid_case(rng, tie_free=True)
     tgrid = LogitGrid(scores=zt, valid=lab.valid)
     weights = rng.uniform(0.2, 2.0, size=NUM_CLASSES)
     return _loss_grad_error(
@@ -225,16 +228,16 @@ def check_relu_grad(rng: np.random.Generator) -> float:
     return _layer_fd(layer, x, rng)
 
 
-def _dysample_positions_ok(layer: nnet.DySample, x: np.ndarray, margin: float = 1e-4) -> bool:
-    _, _, _, free_y, free_x, raw_y, raw_x = layer._positions(x)
+def _dysample_positions_ok(layer: nnet.DySample, x: np.ndarray) -> bool:
+    _, _, free_y, free_x, raw_y, raw_x = layer._positions(x)
     h, w = x.shape[1:]
     for raw, free, n in ((raw_y, free_y, h), (raw_x, free_x, w)):
         # the gradient has kinks at the clamp boundaries ...
-        if (np.abs(raw - 0.5) < margin).any() or (np.abs(raw - (n - 0.5)) < margin).any():
+        if (np.minimum(np.abs(raw - 0.5), np.abs(raw - (n - 0.5))) < KINK_MARGIN).any():
             return False
         # ... and, for unclamped positions, at integer grid coordinates
         frac = (raw - 0.5) - np.floor(raw - 0.5)
-        near_int = (frac < margin) | (frac > 1.0 - margin)
+        near_int = (frac < KINK_MARGIN) | (frac > 1.0 - KINK_MARGIN)
         if (near_int & free).any():
             return False
     return True
@@ -255,8 +258,8 @@ def check_dysample_grad(rng: np.random.Generator) -> float:
     return _layer_fd(layer, x, rng)
 
 
-def suite_gradcheck(instances: int = 20, seed: int = 23) -> SuiteResult:
-    rng = np.random.default_rng(seed)
+def suite_gradcheck() -> SuiteResult:
+    rng = np.random.default_rng(23)
     cfg = DistillConfig()
     cfg_all = DistillConfig(tckd_scope="all")
     cfg_tau = DistillConfig(temperature=2.0, beta=1.5)
@@ -265,7 +268,7 @@ def suite_gradcheck(instances: int = 20, seed: int = 23) -> SuiteResult:
 
     def run(name: str, fn: Callable[[], float]) -> None:
         nonlocal worst
-        local = max(fn() for _ in range(instances))
+        local = max(fn() for _ in range(20))
         details.append(f"{name}: max rel err {local:.3e}")
         worst = max(worst, local)
 
@@ -288,10 +291,10 @@ def suite_gradcheck(instances: int = 20, seed: int = 23) -> SuiteResult:
 # dysample degeneracy suite
 
 
-def suite_dysample(instances: int = 20, seed: int = 31) -> SuiteResult:
-    rng = np.random.default_rng(seed)
+def suite_dysample() -> SuiteResult:
+    rng = np.random.default_rng(31)
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(20):
         c = int(rng.integers(1, 4))
         h = int(rng.integers(2, 7))
         w = int(rng.integers(2, 7))
@@ -347,10 +350,10 @@ def lovasz_value_bruteforce(z: np.ndarray, t: np.ndarray) -> float:
     return total / present.size
 
 
-def suite_lovasz(instances: int = 30, seed: int = 41) -> SuiteResult:
-    rng = np.random.default_rng(seed)
+def suite_lovasz() -> SuiteResult:
+    rng = np.random.default_rng(41)
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(30):
         n = int(rng.integers(1, 13))
         z = rng.normal(0.0, 2.0, size=(n, NUM_CLASSES))
         t = rng.integers(NUM_CLASSES, size=n)

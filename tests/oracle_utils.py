@@ -36,22 +36,21 @@ def height_oracle(cloud, grid):
         if cell >= 0:
             zs.setdefault(int(cell), []).append(np.float64(cloud.xyz[i, 2]))
     values = np.zeros(grid.shape)
-    occupancy = np.zeros(grid.shape, dtype=bool)
     for cell, zlist in zs.items():
         u, v = divmod(cell, grid.n_angular)
         values[u, v] = max(zlist) - min(zlist)
-        occupancy[u, v] = True
-    return values, occupancy
+    return values
 
 
 def window_pool_oracle(images):
-    """Cell-loop window pooling: the max height span over the frames that
-    occupy the cell, and 0 where no frame does."""
-    h, w = images[0].values.shape
+    """Cell-loop window pooling of (span image, occupancy mask) pairs: the
+    max height span over the frames that occupy the cell, and 0 where no
+    frame does."""
+    h, w = images[0][0].shape
     pooled = np.zeros((h, w))
     for u in range(h):
         for v in range(w):
-            spans = [im.values[u, v] for im in images if im.occupancy[u, v]]
+            spans = [values[u, v] for values, occupancy in images if occupancy[u, v]]
             if spans:
                 pooled[u, v] = max(spans)
     return pooled

@@ -154,38 +154,33 @@ class TestHeightImage:
         grid = self.grid()
         img = bev.height_image(bev.project_to_cells(c, grid), c, grid)
         u, v = uv(bev.project_to_cells(c, grid), 0)
-        assert img.values[u, v] == pytest.approx(2.0)
-        assert img.occupancy[u, v]
+        assert img.shape == grid.shape and img.dtype == np.float64
+        assert img[u, v] == pytest.approx(2.0)
+        assert np.count_nonzero(img) == 1
 
     def test_single_point_cell(self):
         c = cloud([[1, 0, 0.7]])
         grid = self.grid()
         img = bev.height_image(bev.project_to_cells(c, grid), c, grid)
-        assert img.values.max() == 0.0
-        assert img.occupancy.sum() == 1
+        assert img.max() == 0.0
 
     def test_empty_cells(self):
         grid = self.grid()
         c = cloud(np.zeros((0, 3)))
         img = bev.height_image(bev.project_to_cells(c, grid), c, grid)
-        assert not img.occupancy.any()
-        assert (img.values == 0).all()
+        assert img.shape == grid.shape
+        assert (img == 0).all()
 
     def test_matches_bruteforce_oracle(self, rng):
         grid = bev.BevGrid(n_radial=6, n_angular=9, r_max=20.0)
         for _ in range(10):
             c = random_cloud(rng, int(rng.integers(1, 100)), r_spread=25.0)
             img = bev.height_image(bev.project_to_cells(c, grid), c, grid)
-            values, occ = height_oracle(c, grid)
-            np.testing.assert_array_equal(img.values, values)
-            np.testing.assert_array_equal(img.occupancy, occ)
+            np.testing.assert_array_equal(img, height_oracle(c, grid))
 
 
-def make_image(values, occupancy=None):
-    values = np.asarray(values, dtype=np.float64)
-    if occupancy is None:
-        occupancy = values != 0
-    return bev.HeightImage(values=values, occupancy=np.asarray(occupancy, bool))
+def make_image(values):
+    return np.asarray(values, dtype=np.float64)
 
 
 class TestMotionResiduals:
@@ -196,18 +191,19 @@ class TestMotionResiduals:
 
     def test_single_cell_signs(self):
         a = make_image([[2.0]])
-        b = make_image([[0.0]], occupancy=[[True]])
+        b = make_image([[0.0]])  # occupied by a single point: a zero span
         mt = bev.motion_residuals([a], [b])
+        assert mt.channels.shape == (2, 1, 1)
         assert mt.channels[0, 0, 0] == 2.0
         assert mt.channels[1, 0, 0] == -2.0
-        assert mt.n2 == 1
 
     def test_antisymmetry(self, rng):
         q1 = [make_image(rng.uniform(0, 3, (4, 5))) for _ in range(3)]
         q2 = [make_image(rng.uniform(0, 3, (4, 5))) for _ in range(2)]
         mt = bev.motion_residuals(q1, q2)
-        for k in range(mt.n2):
-            for j in range(mt.n2, mt.channels.shape[0]):
+        assert mt.channels.shape == (5, 4, 5)
+        for k in range(len(q1)):
+            for j in range(len(q1), mt.channels.shape[0]):
                 np.testing.assert_array_equal(mt.channels[k], -mt.channels[j])
 
     def test_moving_object_cells(self):
@@ -238,17 +234,17 @@ class TestMotionResiduals:
             for _ in range(int(rng.integers(1, 5))):
                 occ = rng.random(shape) < rng.choice([0.0, 0.3, 0.7, 1.0])
                 spans = rng.uniform(0, 3, shape) * (rng.random(shape) < 0.8)
-                frames.append(make_image(np.where(occ, spans, 0.0), occ))
+                frames.append((np.where(occ, spans, 0.0), occ))
             return frames
 
         for _ in range(200):
             shape = tuple(int(d) for d in rng.integers(1, 6, 2))
             q1, q2 = window(shape), window(shape)
-            mt = bev.motion_residuals(q1, q2)
+            mt = bev.motion_residuals([v for v, _ in q1], [v for v, _ in q2])
             diff = window_pool_oracle(q1) - window_pool_oracle(q2)
-            for k in range(mt.n2):
+            for k in range(len(q1)):
                 np.testing.assert_array_equal(mt.channels[k], diff)
-            for k in range(mt.n2, mt.channels.shape[0]):
+            for k in range(len(q1), mt.channels.shape[0]):
                 np.testing.assert_array_equal(mt.channels[k], -diff)
 
 

@@ -227,6 +227,41 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_one_window_keeps_its_training_sample(self, tmp_path):
+        # the default 8-frame sequence has one window; a held-out fraction
+        # that rounds up to it still leaves that window for training
+        out = tmp_path / "data"
+        assert main(["synth-gen", "--out", str(out)]) == 0
+        ckpt, log = tmp_path / "one.ckpt", tmp_path / "one.log"
+        code = main(
+            ["train", "--seq", str(out / "sequences" / "00"), "--out-ckpt", str(ckpt),
+             "--epochs", "1", "--log", str(log), "--set", "train.val_fraction=0.6"]
+        )
+        assert code == 0 and ckpt.is_file()
+        assert log.read_text().endswith("heldout_moving_iou=nan\n")
+
+    def test_teacher_dir_checked_before_any_sample(
+        self, seq_dir, tmp_path, zero_ckpt, capsys, monkeypatch
+    ):
+        logits = tmp_path / "logits"
+        args = ["--ckpt", str(zero_ckpt), "--seq", str(seq_dir), "--out", str(logits)]
+        assert main(["export-logits", *args, *tiny_cli_args()]) == 0
+        # frames 3..6 have a window; 6 is held out, so its file is not needed
+        (logits / "000006.logits").unlink()
+        assert self.train(seq_dir, tmp_path, "held", ["--teacher", str(logits)])[0] == 0
+        (logits / "000004.logits").unlink()
+        capsys.readouterr()
+        built = []
+        build_sample = pipeline.build_sample
+        monkeypatch.setattr(
+            pipeline, "build_sample", lambda *a: built.append(a) or build_sample(*a)
+        )
+        code, ckpt, _ = self.train(seq_dir, tmp_path, "gap", ["--teacher", str(logits)])
+        assert code == 1 and built == [] and not ckpt.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot read logits {logits / '000004.logits'}: no such file"
+        ]
+
     def test_missing_sequence_nonzero(self, tmp_path):
         code = main(
             [
@@ -304,6 +339,10 @@ class TestBadConfigValue:
             ("train", "distill.beta=-1", "distill.beta must be >= 0, got -1"),
             ("train", "distill.gamma=-0.5", "distill.gamma must be >= 0, got -0.5"),
             ("synth-gen", "scene.speed_min=-0.5", "scene.speed_min must be >= 0, got -0.5"),
+            ("train", "opt.weight_decay=-0.1", "opt.weight_decay must be >= 0, got -0.1"),
+            # bounded ranges
+            ("train", "opt.lr_decay=-1", "opt.lr_decay must be in (0, 1], got -1"),
+            ("train", "opt.momentum=1", "opt.momentum must be in [0, 1), got 1"),
             # the keys with named values
             ("train", "distill.weight_floor=0", "distill.weight_floor must be auto or > 0, got 0"),
             ("export-logits", "distill.tckd_scope=bogus",
@@ -331,7 +370,8 @@ class TestBadConfigValue:
              "batch_size", "lovasz_classes", "val_fraction", "class_weights", "r_max_inf",
              "z_min_inf", "n_radial", "n_angular", "split", "points_per_disc", "n_frames",
              "n_moving", "n_static_movable", "n_static", "r_max", "temperature",
-             "eval-temperature", "radius_min", "beta", "gamma", "speed_min", "weight_floor_0",
+             "eval-temperature", "radius_min", "beta", "gamma", "speed_min", "weight_decay",
+             "lr_decay", "momentum", "weight_floor_0",
              "tckd_scope", "z_min_z_max", "split_window", "project-split_window",
              "radius_min_max", "speed_min_max", "arena_radius", "grid-train", "grid-eval",
              "grid-export-logits", "grid-bench"],
@@ -473,6 +513,30 @@ class TestEvalCmd:
             )
             outs.append(out.read_text())
         assert outs[0] == outs[1]
+
+
+class TestNonRigidTransform:
+    """A pose or an extrinsic whose rotation block is not orthonormal is
+    malformed data: one ``error:`` line naming the file, exit 2."""
+
+    @pytest.mark.parametrize("command", ["project", "train", "eval", "export-logits"])
+    @pytest.mark.parametrize("name", ["poses.txt", "calib.txt"])
+    def test_exits_two_naming_the_file(self, seq_dir, tmp_path, zero_ckpt, capsys, command, name):
+        path = seq_dir / name
+        lines = path.read_text().splitlines()
+        if name == "poses.txt":
+            lines[0] = "2 0 0 0 0 1 0 0 0 0 1 0"
+            where = f"{path}:1"
+        else:
+            lines = ["Tr: 2 0 0 0 0 1 0 0 0 0 1 0"]
+            where = f"{path}: Tr"
+        path.write_text("\n".join(lines) + "\n")
+        argv = command_argv(command, tmp_path, zero_ckpt)
+        argv[argv.index("--seq") + 1] = str(seq_dir)
+        assert main([*argv, *tiny_cli_args()]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {where}: rotation block is not orthonormal within 1e-6"
+        ]
 
 
 class TestExportLogits:

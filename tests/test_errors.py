@@ -9,7 +9,7 @@ from mosdistill.config import RunConfig
 from mosdistill.errors import IoFailure
 from mosdistill.losses import LogitGrid
 
-CALIB = kitti_io.Calibration.identity()
+CALIB = kitti_io.Pose.identity()
 CLOUD = kitti_io.PointCloud(points=np.zeros((2, 4), dtype=np.float32))
 GRID = LogitGrid(scores=np.zeros((2, 3, 4)), valid=np.ones((2, 3), dtype=bool))
 

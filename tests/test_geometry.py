@@ -49,7 +49,7 @@ class TestTransformPoints:
             PointCloud(points=pts, frame_id=7), Pose.from_rt(rot_z(45), [1, 2, 3])
         )
         assert out.frame_id == 7
-        assert out.intensity[0] == 0.75
+        assert out.points[0, 3] == 0.75
 
     @pytest.mark.parametrize("seed", range(5))
     def test_inverse_round_trip(self, seed):
@@ -87,7 +87,7 @@ class TestTransformPoints:
         assert out.points.flags.f_contiguous  # each coordinate column contiguous
         assert out.frame_id == seed + 2
         assert np.ascontiguousarray(out.xyz).tobytes() == expected.tobytes()
-        assert out.intensity.tobytes() == pts[:, 3].astype(np.float64).tobytes()
+        assert out.points[:, 3].tobytes() == pts[:, 3].astype(np.float64).tobytes()
 
 
 class TestAlignToCurrent:

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -161,7 +162,7 @@ class TestPoses:
 
     def test_identity(self, tmp_path):
         path = self.write(tmp_path, ["1 0 0 0 0 1 0 0 0 0 1 0"])
-        poses = kio.read_poses(path, kio.Calibration.identity())
+        poses = kio.read_poses(path, kio.Pose.identity())
         np.testing.assert_allclose(poses[0].matrix, np.eye(4), atol=1e-15)
 
     def test_identity_with_translated_tr(self, tmp_path):
@@ -169,7 +170,7 @@ class TestPoses:
         path = self.write(tmp_path, ["1 0 0 0 0 1 0 0 0 0 1 0"])
         tr = np.eye(4)
         tr[2, 3] = 1.0
-        poses = kio.read_poses(path, kio.Calibration(tr))
+        poses = kio.read_poses(path, kio.Pose(tr))
         np.testing.assert_allclose(poses[0].matrix, np.eye(4), atol=1e-12)
 
     def test_rotated_tr_conjugation(self, tmp_path):
@@ -178,7 +179,7 @@ class TestPoses:
         path = self.write(tmp_path, ["1 0 0 1 0 1 0 0 0 0 1 0"])
         tr = np.eye(4)
         tr[:3, :3] = rot_z(90)
-        calib = kio.Calibration(tr)
+        calib = kio.Pose(tr)
         poses = kio.read_poses(path, calib)
         t_cam = np.eye(4)
         t_cam[0, 3] = 1.0
@@ -189,12 +190,17 @@ class TestPoses:
     def test_wrong_token_count(self, tmp_path):
         path = self.write(tmp_path, ["1 0 0"])
         with pytest.raises(MalformedPoseLine):
-            kio.read_poses(path, kio.Calibration.identity())
+            kio.read_poses(path, kio.Pose.identity())
 
     def test_non_finite(self, tmp_path):
         path = self.write(tmp_path, ["1 0 0 nan 0 1 0 0 0 0 1 0"])
         with pytest.raises(MalformedPoseLine):
-            kio.read_poses(path, kio.Calibration.identity())
+            kio.read_poses(path, kio.Pose.identity())
+
+    def test_non_rigid(self, tmp_path):
+        path = self.write(tmp_path, ["1 0 0 0 0 1 0 0 0 0 1 0", "2 0 0 0 0 1 0 0 0 0 1 0"])
+        with pytest.raises(MalformedPoseLine, match=f"^{re.escape(str(path))}:2: rotation"):
+            kio.read_poses(path, kio.Pose.identity())
 
     def test_write_read_round_trip(self, tmp_path):
         poses = [
@@ -202,7 +208,7 @@ class TestPoses:
             kio.Pose.from_rt(rot_z(-45), np.array([0.1, 0.2, 0.3])),
         ]
         path = tmp_path / "poses.txt"
-        calib = kio.Calibration.identity()
+        calib = kio.Pose.identity()
         kio.write_poses(poses, path, calib)
         back = kio.read_poses(path, calib)
         for a, b in zip(poses, back):
@@ -214,7 +220,7 @@ class TestCalib:
         path = tmp_path / "calib.txt"
         path.write_text("P0: 1 0 0 0 0 1 0 0 0 0 1 0\nTr: 1 0 0 0.5 0 1 0 0 0 0 1 0\n")
         calib = kio.read_calib(path)
-        assert calib.tr[0, 3] == 0.5
+        assert calib.matrix[0, 3] == 0.5
 
     def test_missing_tr(self, tmp_path):
         path = tmp_path / "calib.txt"
@@ -222,13 +228,17 @@ class TestCalib:
         with pytest.raises(MalformedCalib):
             kio.read_calib(path)
 
+    def test_non_rigid(self, tmp_path):
+        path = tmp_path / "calib.txt"
+        path.write_text("Tr: 1 0 0 0 0 1 0 0 0 0 -1 0\n")
+        with pytest.raises(MalformedCalib, match=f"^{re.escape(str(path))}: Tr: rotation"):
+            kio.read_calib(path)
+
     def test_round_trip(self, tmp_path):
-        calib = kio.Calibration(
-            kio.Pose.from_rt(rot_z(10), np.array([0.5, 0.0, -0.25])).matrix
-        )
+        calib = kio.Pose.from_rt(rot_z(10), np.array([0.5, 0.0, -0.25]))
         path = tmp_path / "calib.txt"
         kio.write_calib(calib, path)
-        np.testing.assert_array_equal(kio.read_calib(path).tr, calib.tr)
+        np.testing.assert_array_equal(kio.read_calib(path).matrix, calib.matrix)
 
 
 class TestValidation:

@@ -27,10 +27,6 @@ class TestAccumulate:
         assert cm.sum() == 1
         assert cm[3, 3] == 1
 
-    def test_custom_ignore(self):
-        cm = accumulate(empty(), [1, 2], [1, 2], ignore=frozenset({1, 2}))
-        assert cm.sum() == 0
-
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             accumulate(empty(), [1, 2], [1])

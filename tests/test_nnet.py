@@ -34,14 +34,15 @@ def _conv_with_bias(rng, kernel, stride):
 
 class TestConv2d:
     def test_identity_1x1_kernel(self, rng):
-        layer = nnet.Conv2d(3, 3, kernel=1)
+        layer = nnet.Conv2d(3, 3, rng, kernel=1)
         layer.params["w"] = np.eye(3).reshape(3, 3, 1, 1)
         x = rng.normal(size=(3, 4, 5))
         y, _ = layer.forward(x)
         np.testing.assert_array_equal(y, x)
 
     def test_zero_kernel_broadcasts_bias(self, rng):
-        layer = nnet.Conv2d(2, 3, kernel=3)
+        layer = nnet.Conv2d(2, 3, rng, kernel=3)
+        layer.params["w"] = np.zeros((3, 2, 3, 3))
         layer.params["b"] = np.array([1.0, -2.0, 0.5])
         x = rng.normal(size=(2, 4, 4))
         y, _ = layer.forward(x)
@@ -98,7 +99,7 @@ class TestConv2d:
         assert check_conv_grad(rng, 1, 1) < 1e-4
 
     def test_channel_mismatch(self, rng):
-        layer = nnet.Conv2d(2, 3)
+        layer = nnet.Conv2d(2, 3, rng)
         with pytest.raises(ShapeMismatch):
             layer.forward(rng.normal(size=(4, 4, 4)))
 
@@ -136,7 +137,7 @@ class TestDySample:
         x = rng.normal(size=(2, 3, 4))
         y, _ = layer.forward(x)
         ref = dysample_oracle(
-            x, layer.params["linear_w"], layer.params["linear_b"], 2, layer.offset_factor
+            x, layer.params["linear_w"], layer.params["linear_b"], 2, nnet.DySample.OFFSET_FACTOR
         )
         # the in-place forward keeps the scalar formula's operation order
         np.testing.assert_array_equal(y, ref)
@@ -157,14 +158,14 @@ class TestDySample:
         layer = nnet.DySample(c, scale=scale)
         layer.params["linear_b"] = rng.normal(0.0, 4.0, size=2 * scale * scale)
         x = rng.normal(size=shape)
-        _, _, _, free_y, free_x, _, _ = layer._positions(x)
+        _, _, free_y, free_x, _, _ = layer._positions(x)
         assert not (free_y.all() and free_x.all())
         gout = rng.normal(size=(c, h * scale, w * scale))
         _, cache = layer.forward(x)
         gx, _ = layer.backward(gout, cache)
         ref = dysample_input_grad_oracle(
             x, layer.params["linear_w"], layer.params["linear_b"], scale,
-            layer.offset_factor, gout,
+            nnet.DySample.OFFSET_FACTOR, gout,
         )
         np.testing.assert_array_equal(gx, ref)
 
@@ -179,7 +180,7 @@ class TestDySample:
         gx, _ = layer.backward(gout, cache)
         ref = dysample_input_grad_oracle(
             x, layer.params["linear_w"], layer.params["linear_b"], 2,
-            layer.offset_factor, gout,
+            nnet.DySample.OFFSET_FACTOR, gout,
         )
         np.testing.assert_allclose(gx, ref, rtol=1e-12, atol=1e-12)
 
@@ -208,7 +209,7 @@ class TestDySample:
         np.testing.assert_allclose(pgrads["linear_b"], 0.0, atol=1e-12)
 
     def test_offset_factor_default(self):
-        assert nnet.DySample(4).offset_factor == 0.25
+        assert nnet.DySample(4).OFFSET_FACTOR == 0.25
 
     def test_pixel_shuffle_round_trip(self, rng):
         x = rng.normal(size=(8, 3, 5))

@@ -84,7 +84,9 @@ class TestBuildSamples:
         grid = tiny_config.bev_grid()
         for s in samples:
             assert s.motion.channels.shape == (window, *grid.shape)
-            assert s.motion.n2 == split
+            # the newer window's channels carry I1 - I2, the older's I2 - I1
+            assert (s.motion.channels[:split] == -s.motion.channels[split]).all()
+            assert (s.motion.channels[split:] == s.motion.channels[split]).all()
 
     def test_threads_do_not_change_results(self, loaded, tiny_config):
         clouds, classes, poses = loaded
@@ -151,6 +153,11 @@ class TestEvaluate:
         assert train == list(range(8)) and held == [8, 9]
         train, held = pipeline.split_train_heldout(samples, 0.0)
         assert train == samples and held == []
+        # one training sample always stays, also when the fraction rounds up to all
+        for fraction in (0.25, 0.6, 0.99):
+            assert pipeline.split_train_heldout([0], fraction) == ([0], [])
+        assert pipeline.split_train_heldout([0, 1], 0.9) == ([0], [1])
+        assert pipeline.split_train_heldout([], 0.5) == ([], [])
 
     def test_descriptors(self, tiny_config):
         assert pipeline.student_descriptor(tiny_config) == "student:in=4,base=8"
@@ -331,9 +338,7 @@ class TestDegenerateWindows:
         )
         current = clouds[-1]
         np.testing.assert_array_equal(sample.cells.flat, project_oracle(current, grid))
-        values, occupancy = height_oracle(current, grid)
-        np.testing.assert_array_equal(sample.height.values, values)
-        np.testing.assert_array_equal(sample.height.occupancy, occupancy)
+        np.testing.assert_array_equal(sample.height, height_oracle(current, grid))
         aligned = geometry.align_to_current(clouds, poses, window - 1)
         assert len(aligned) == window
         for steps_back, cloud in enumerate(aligned):
@@ -342,7 +347,7 @@ class TestDegenerateWindows:
                 project_oracle(cloud, grid),
             )
             source = clouds[window - 1 - steps_back]
-            np.testing.assert_array_equal(cloud.intensity, source.intensity)
+            np.testing.assert_array_equal(cloud.points[:, 3], source.points[:, 3])
         assert sample.motion.channels.shape == (window, *grid.shape)
         assert np.isfinite(sample.motion.channels).all()
         if kinds[-1] in ("empty", "out_of_range"):
