@@ -20,7 +20,10 @@ import numpy as np
 
 from . import bev, nnet, pipeline, teacher, verify
 from .config import RunConfig, documented_defaults, positive_int
-from .errors import ConfigError, IoFailure, MosDistillError, NonFiniteLoss, make_dirs, write_file
+from .errors import (
+    ConfigError, IoFailure, MosDistillError, NonFiniteLoss, ShapeMismatch, make_dirs, write_file
+)
+from .kitti_io import NUM_CLASSES
 from .metrics import write_metrics
 from .synthbench import export_kitti_sequence
 
@@ -171,23 +174,27 @@ def _load_labeled_sequence(args):
     return pipeline.load_sequence(args.seq)
 
 
-def _attach_teacher(args, cfg: RunConfig, samples) -> None:
-    if args.teacher == "synth":
-        pipeline.attach_synth_teacher(
-            samples, cfg.get("teacher.kappa"), cfg.get("teacher.sigma"), seed=cfg.get("train.seed")
-        )
-    elif args.teacher != "none":
-        pipeline.attach_file_teacher(samples, args.teacher)
-
-
-def _check_teacher_files(teacher_dir: str, cfg: RunConfig, clouds) -> None:
-    """IoFailure naming the first training frame whose ``.logits`` file is
-    missing from ``teacher_dir``, before any sample is built."""
+def _read_teacher_files(teacher_dir: str, cfg: RunConfig, clouds) -> dict:
+    """Each training frame's teacher grid from ``teacher_dir``, by frame id,
+    read before any sample is built: IoFailure naming the first missing
+    ``.logits`` file, ShapeMismatch naming the file and frame of a grid
+    whose shape is not that of the label grid."""
+    expected = (*cfg.bev_grid().shape, NUM_CLASSES)
     idxs = pipeline.usable_frames(len(clouds), cfg.get("bev.window"))
+    grids = {}
     for i in pipeline.split_train_heldout(idxs, cfg.get("train.val_fraction"))[0]:
-        path = Path(teacher_dir) / teacher.logits_filename(clouds[i].frame_id)
+        frame_id = clouds[i].frame_id
+        path = Path(teacher_dir) / teacher.logits_filename(frame_id)
         if not path.is_file():
             raise IoFailure(f"cannot read logits {path}: no such file")
+        grid = teacher.read_logits(path)
+        if grid.shape != expected:
+            raise ShapeMismatch(
+                f"{path}: teacher grid {grid.shape} does not match the label grid "
+                f"{expected} of frame {frame_id}"
+            )
+        grids[frame_id] = grid
+    return grids
 
 
 def cmd_train(args) -> int:
@@ -200,21 +207,21 @@ def cmd_train(args) -> int:
     net = nnet.build_network(pipeline.student_descriptor(cfg), seed=cfg.get("train.seed"))
     pipeline.check_network(net, cfg)
     clouds, classes, poses = _load_labeled_sequence(args)
+    grids = None
     if args.teacher not in ("none", "synth"):
-        _check_teacher_files(args.teacher, cfg, clouds)
+        grids = _read_teacher_files(args.teacher, cfg, clouds)
     samples = pipeline.build_samples(clouds, classes, poses, cfg, threads=args.threads)
     train, heldout = pipeline.split_train_heldout(samples, cfg.get("train.val_fraction"))
-    _attach_teacher(args, cfg, train)
-    lines: list[str] = []
-
-    def progress(line: str) -> None:
-        print(line)
-        lines.append(line)
-
-    pipeline.train_student(net, train, heldout, cfg, epochs, progress)
+    if args.teacher == "synth":
+        pipeline.attach_synth_teacher(
+            train, cfg.get("teacher.kappa"), cfg.get("teacher.sigma"), seed=cfg.get("train.seed")
+        )
+    elif grids is not None:
+        pipeline.attach_file_teacher(train, args.teacher, grids)
+    logs = pipeline.train_student(net, train, heldout, cfg, epochs, print)
     nnet.save_checkpoint(args.out_ckpt, net)
     if args.log:
-        write_file(args.log, "\n".join(lines) + "\n", "log")
+        write_file(args.log, "".join(log.format() + "\n" for log in logs), "log")
     print(f"saved checkpoint to {args.out_ckpt}")
     return EXIT_OK
 

@@ -71,6 +71,10 @@ def run_seed(
     clouds, classes, poses = synthbench.gen_sequence(cfg.scene())
     train_samples = pipeline.build_samples(clouds, classes, poses, cfg)
     eval_samples = _build_eval_samples(cfg, seed)
+    # the baseline's gamma of 0 keeps total_loss from reading the teacher
+    pipeline.attach_synth_teacher(
+        train_samples, TEACHER_KAPPA, TEACHER_SIGMA, seed=cfg.get("train.seed")
+    )
 
     outcome: dict[str, float] = {}
     for mode in MODES:
@@ -79,12 +83,6 @@ def run_seed(
             mode_cfg.set("distill.gamma", "0")
         if mode == "dkd_all":
             mode_cfg.set("distill.tckd_scope", "all")
-        for sample in train_samples:
-            sample.teacher_logits = None
-        if mode != "baseline":
-            pipeline.attach_synth_teacher(
-                train_samples, TEACHER_KAPPA, TEACHER_SIGMA, seed=mode_cfg.get("train.seed")
-            )
         net = nnet.build_network(
             pipeline.student_descriptor(mode_cfg), seed=mode_cfg.get("train.seed")
         )

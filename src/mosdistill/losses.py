@@ -96,14 +96,6 @@ def _kl_terms(q: np.ndarray, p_floored: np.ndarray) -> np.ndarray:
     return q * (logq - np.log(p_floored))
 
 
-def _masked_softmax(z_masked: np.ndarray) -> np.ndarray:
-    """Softmax where -inf entries get exactly zero probability."""
-    zmax = z_masked.max(axis=-1, keepdims=True)
-    e = np.exp(z_masked - zmax)
-    e[~np.isfinite(z_masked)] = 0.0
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 @dataclass(frozen=True)
 class KdSplit:
     """Per-cell terms of KD = TCKD + (1 - q_t) * NCKD for M cells.
@@ -136,14 +128,14 @@ def kd_split(zt: np.ndarray, zs: np.ndarray, t: np.ndarray) -> KdSplit:
     qt = q[rows, t]
     pt = p[rows, t]
 
-    # non-target renormalized distributions, computed with the target
-    # logit masked out
+    # non-target renormalized distributions: the target logit masked to
+    # -inf gets exactly zero probability
     zt_masked = zt.copy()
     zt_masked[rows, t] = -np.inf
     zs_masked = zs.copy()
     zs_masked[rows, t] = -np.inf
-    qh = _masked_softmax(zt_masked)
-    ph = _masked_softmax(zs_masked)
+    qh = softmax_probs(zt_masked)
+    ph = softmax_probs(zs_masked)
 
     ph_f = np.maximum(ph, PROB_FLOOR)
     nckd_cells = _kl_terms(qh, ph_f).sum(axis=1)

@@ -16,10 +16,6 @@ and the list is empty afterwards.
 
 Convolutions are flat-shift convolutions (see ``Conv2d``): each tap is one
 GEMM on a contiguous window of the padded input, with no per-tap copy.
-Their summation order differs from the per-tap ``tensordot`` of earlier
-builds, so checkpoints, exported logits and metrics are a new baseline
-that differs from those builds by rounding (about 5e-13 in float64, 1e-6
-in float32); reruns of one build are bit-identical.
 
 The decoder upsampling is a dynamic-sampling module: a per-pixel linear
 layer predicts bounded coordinate offsets which are pixel-shuffled to the

@@ -190,19 +190,15 @@ def attach_synth_teacher(
         )
 
 
-def attach_file_teacher(samples: list[FrameSample], logits_dir: str | Path) -> None:
-    """Read each sample's teacher grid; it must match the sample's label grid."""
-    logits_dir = Path(logits_dir)
+def attach_file_teacher(
+    samples: list[FrameSample], logits_dir: str | Path, grids: dict[int, losses.LogitGrid]
+) -> None:
+    """Give each sample its teacher grid, read from ``logits_dir`` and keyed
+    by frame id; its validity mask must match the sample's label grid."""
     for sample in samples:
-        path = logits_dir / teacher.logits_filename(sample.frame_id)
-        grid = teacher.read_logits(path)
-        expected = (*sample.labels.labels.shape, NUM_CLASSES)
-        if grid.shape != expected:
-            raise ShapeMismatch(
-                f"{path}: teacher grid {grid.shape} does not match the label grid "
-                f"{expected} of frame {sample.frame_id}"
-            )
+        grid = grids[sample.frame_id]
         if not np.array_equal(grid.valid, sample.labels.valid):
+            path = Path(logits_dir) / teacher.logits_filename(sample.frame_id)
             raise ShapeMismatch(
                 f"{path}: teacher validity mask differs from the label grid "
                 f"of frame {sample.frame_id}"
@@ -312,17 +308,17 @@ def train_student(
 ) -> list[EpochLog]:
     """SGD training with the composed loss; deterministic per seed.
 
-    Within a mini-batch, one helper thread runs the forward and loss of
-    sample j+1 while the calling thread runs the backward of sample j; the
-    helper is never more than one sample ahead.  Gradients and loss parts
-    are summed on the calling thread in sample order, and parameters change
-    only at the optimizer step after the whole batch, so the results are
-    those of the serial loop, bit for bit.
+    Within a mini-batch the samples are independent given the weights, so
+    each sample's forward, loss and backward is one task on a two-worker
+    pool.  Gradients and loss parts are summed on the calling thread in
+    sample order, and parameters change only at the optimizer step after
+    the whole batch, so the results are those of the serial loop, bit for
+    bit.  The first failing sample of a batch, in sample order, raises its
+    error before that batch's optimizer step.
 
-    The overlap pays only with BLAS on one thread: import ``mosdistill``
-    before numpy, so its pin of ``OPENBLAS_NUM_THREADS`` and friends takes
-    effect.  With BLAS threads unpinned the overlapped loop ran slower
-    than a serial one (32.7 against 39.3 samples/s on a 2-core host).
+    Run it with BLAS on one thread, since BLAS threads on top of the two
+    workers oversubscribe the cores: import ``mosdistill`` before numpy, so
+    its pin of ``OPENBLAS_NUM_THREADS`` and friends takes effect.
 
     Raises ConfigError when ``epochs`` is below 1 (zero epochs would leave
     the weights untrained), NonFiniteLoss (with the offending frame id) the
@@ -342,7 +338,9 @@ def train_student(
     params = net.parameters()
     logs: list[EpochLog] = []
 
-    def forward_loss(sample: FrameSample) -> tuple[losses.LossResult, list]:
+    def sample_step(sample: FrameSample) -> tuple[dict[str, float], dict[str, np.ndarray]]:
+        """Forward, loss and backward of one sample: its loss parts (with
+        the composed value as ``total``) and its parameter gradients."""
         logits, caches = student_forward(net, sample)
         try:
             result = losses.total_loss(
@@ -354,26 +352,21 @@ def train_student(
             raise NonFiniteLoss(
                 f"non-finite loss at frame {sample.frame_id}", frame_id=sample.frame_id
             )
-        return result, caches
+        _, pgrads = net.backward(np.transpose(result.grad, (2, 0, 1)), caches)
+        return {**result.parts, "total": result.value}, pgrads
 
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    with ThreadPoolExecutor(max_workers=2) as pool:
         for epoch in range(epochs):
             order = rng.permutation(len(train))
             sums = {"wce": 0.0, "lovasz": 0.0, "wdcd": 0.0, "total": 0.0}
             for start in range(0, len(order), batch_size):
                 batch = [train[i] for i in order[start : start + batch_size]]
                 grads = {name: np.zeros_like(p) for name, p in params.items()}
-                ahead = None
-                for k, sample in enumerate(batch):
-                    result, caches = forward_loss(sample) if ahead is None else ahead.result()
-                    if k + 1 < len(batch):
-                        ahead = helper.submit(forward_loss, batch[k + 1])
-                    _, pgrads = net.backward(np.transpose(result.grad, (2, 0, 1)), caches)
+                for parts, pgrads in pool.map(sample_step, batch):
                     for name in grads:
                         grads[name] += pgrads[name] / len(batch)
-                    for key in ("wce", "lovasz", "wdcd"):
-                        sums[key] += result.parts[key]
-                    sums["total"] += result.value
+                    for key in sums:
+                        sums[key] += parts[key]
                 state.step(params, grads)
             lr_logged = state.lr
             state.end_epoch()

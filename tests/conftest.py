@@ -31,8 +31,8 @@ TINY_OVERRIDES = {
 
 @pytest.fixture(autouse=True)
 def no_thread_left_behind():
-    """Fail any test that leaves a new live thread behind, such as a pool
-    or training helper that was never shut down."""
+    """Fail any test that leaves a new live thread behind, such as a
+    frame or training pool that was never shut down."""
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]

@@ -579,7 +579,7 @@ class TestExportLogits:
         assert code == 0
 
     def test_teacher_from_other_geometry_names_frame_and_file(
-        self, seq_dir, tmp_path, capsys
+        self, seq_dir, tmp_path, capsys, monkeypatch
     ):
         teacher_ckpt = tmp_path / "teacher.ckpt"
         nnet.save_checkpoint(teacher_ckpt, nnet.build_network("teacher:in=4,base=16"))
@@ -588,6 +588,11 @@ class TestExportLogits:
         other_geometry = tiny_cli_args(["--set", "bev.n_angular=40"])
         assert main(["export-logits", *args, *other_geometry]) == 0
         capsys.readouterr()
+        built = []
+        build_sample = pipeline.build_sample
+        monkeypatch.setattr(
+            pipeline, "build_sample", lambda *a: built.append(a) or build_sample(*a)
+        )
         code = main(
             [
                 "train",
@@ -602,10 +607,11 @@ class TestExportLogits:
                 *tiny_cli_args(),
             ]
         )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "frame 3" in err
-        assert str(out / "000003.logits") in err
+        assert code == 2 and built == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out / '000003.logits'}: teacher grid (16, 40, 4) does not match "
+            "the label grid (16, 36, 4) of frame 3"
+        ]
 
     def test_threads_byte_identical_and_equal_to_in_memory(
         self, seq_dir, tmp_path, tiny_config

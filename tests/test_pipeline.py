@@ -210,8 +210,8 @@ class TestTraining:
 
     @pytest.mark.parametrize("switch_s", [None, 1e-6])
     def test_overlapped_step_equals_serial_oracle(self, tiny_config, monkeypatch, switch_s):
-        # switch_s: a short interpreter switch interval interleaves the
-        # helper's forward and the calling thread's backward finely
+        # switch_s: a short interpreter switch interval interleaves the two
+        # pool workers' per-sample forward, loss and backward finely
         tiny_config.set("scene.n_frames", "10")  # 7 windows of 4 frames
         tiny_config.set("train.batch_size", "3")  # the last batch holds 1 sample
         samples = pipeline.build_samples(*gen_sequence(tiny_config.scene()), tiny_config)
@@ -247,12 +247,15 @@ class TestTraining:
             assert params[name].tobytes() == ref_params[name].tobytes(), name
             assert states[0].velocity[name].tobytes() == ref_state.velocity[name].tobytes(), name
 
-    def test_empty_second_sample_raises_and_joins_the_helper(self, loaded, tiny_config):
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_empty_sample_raises_and_joins_the_pool(self, loaded, tiny_config, position):
+        # position: first or second sample of the first batch; its sibling
+        # runs on the other pool worker
         samples = pipeline.build_samples(*loaded, tiny_config)  # 4 samples, batch 2
         pipeline.attach_synth_teacher(samples, 10.0, 0.5, seed=0)
-        # the second sample of the first batch, in train_student's shuffled order
+        # in train_student's shuffled order
         order = np.random.default_rng(tiny_config.get("train.seed") + 1).permutation(4)
-        victim = samples[order[1]]
+        victim = samples[order[position]]
         victim.labels = bev.CellLabelGrid(
             labels=victim.labels.labels, valid=np.zeros_like(victim.labels.valid)
         )
