@@ -116,25 +116,33 @@ def project_to_cells(cloud: PointCloud, grid: BevGrid) -> CellIndexMap:
     return CellIndexMap(shape=grid.shape, flat=flat)
 
 
-def height_image(cells: CellIndexMap, cloud: PointCloud, grid: BevGrid) -> np.ndarray:
-    """The (H, W) float64 height image: per occupied cell the span
-    max z - min z of its assigned points, >= 0; zero where unoccupied."""
+def fold_heights(cells: CellIndexMap, cloud: PointCloud, bounds=None) -> np.ndarray:
+    """Fold the z values of the cloud's assigned points into ``bounds``, the
+    running (2, H, W) float64 per-cell max z and min z of one frame, and
+    return it; ``None`` starts from empty cells (-inf and +inf).  Folding a
+    frame's blocks in point order gives the bounds of the whole frame."""
     if cells.flat.shape[0] != len(cloud):
         raise ShapeMismatch("cell map and cloud disagree in point count")
-    h, w = grid.shape
-    n_cells = h * w
-    z = cloud.xyz[:, 2].astype(np.float64, copy=False)
+    if bounds is None:
+        bounds = np.stack([np.full(cells.shape, -np.inf), np.full(cells.shape, np.inf)])
+    zmax, zmin = bounds.reshape(2, -1)
     mask = cells.assigned
     flat = cells.flat[mask]
-    zc = z[mask]
-    zmax = np.full(n_cells, -np.inf)
-    zmin = np.full(n_cells, np.inf)
+    zc = cloud.xyz[:, 2][mask].astype(np.float64, copy=False)
     np.maximum.at(zmax, flat, zc)
     np.minimum.at(zmin, flat, zc)
+    return bounds
+
+
+def height_image(bounds: np.ndarray) -> np.ndarray:
+    """The (H, W) float64 height image of folded ``bounds``: per occupied
+    cell the span max z - min z of its assigned points, >= 0; zero where
+    unoccupied.  A whole frame is ``height_image(fold_heights(cells, cloud))``."""
+    zmax, zmin = bounds
     occupied = np.isfinite(zmax)
-    values = np.zeros(n_cells)
+    values = np.zeros(zmax.shape)
     values[occupied] = zmax[occupied] - zmin[occupied]
-    return values.reshape(h, w)
+    return values
 
 
 def motion_residuals(q1: list[np.ndarray], q2: list[np.ndarray]) -> MotionTensor:

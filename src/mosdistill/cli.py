@@ -21,7 +21,8 @@ import numpy as np
 from . import bev, nnet, pipeline, teacher, verify
 from .config import RunConfig, documented_defaults, positive_int
 from .errors import (
-    ConfigError, IoFailure, MosDistillError, NonFiniteLoss, ShapeMismatch, make_dirs, write_file
+    ConfigError, EmptyFrame, IoFailure, MosDistillError, NonFiniteLoss, ShapeMismatch, make_dirs,
+    write_file,
 )
 from .kitti_io import NUM_CLASSES
 from .metrics import write_metrics
@@ -174,16 +175,14 @@ def _load_labeled_sequence(args):
     return pipeline.load_sequence(args.seq)
 
 
-def _read_teacher_files(teacher_dir: str, cfg: RunConfig, clouds) -> dict:
-    """Each training frame's teacher grid from ``teacher_dir``, by frame id,
-    read before any sample is built: IoFailure naming the first missing
-    ``.logits`` file, ShapeMismatch naming the file and frame of a grid
-    whose shape is not that of the label grid."""
+def _read_teacher_files(teacher_dir: str, cfg: RunConfig, frame_ids: list[int]) -> dict:
+    """The teacher grid of each of ``frame_ids`` from ``teacher_dir``, by
+    frame id: IoFailure naming the first missing ``.logits`` file,
+    ShapeMismatch naming the file and frame of a grid whose shape is not
+    that of the label grid."""
     expected = (*cfg.bev_grid().shape, NUM_CLASSES)
-    idxs = pipeline.usable_frames(len(clouds), cfg.get("bev.window"))
     grids = {}
-    for i in pipeline.split_train_heldout(idxs, cfg.get("train.val_fraction"))[0]:
-        frame_id = clouds[i].frame_id
+    for frame_id in frame_ids:
         path = Path(teacher_dir) / teacher.logits_filename(frame_id)
         if not path.is_file():
             raise IoFailure(f"cannot read logits {path}: no such file")
@@ -209,14 +208,26 @@ def cmd_train(args) -> int:
     clouds, classes, poses = _load_labeled_sequence(args)
     grids = None
     if args.teacher not in ("none", "synth"):
-        grids = _read_teacher_files(args.teacher, cfg, clouds)
+        # the training frames' files are read before any sample is built
+        idxs = pipeline.usable_frames(len(clouds), cfg.get("bev.window"))
+        train_idxs = pipeline.split_train_heldout(idxs, cfg.get("train.val_fraction"))[0]
+        grids = _read_teacher_files(args.teacher, cfg, [clouds[i].frame_id for i in train_idxs])
     samples = pipeline.build_samples(clouds, classes, poses, cfg, threads=args.threads)
+    empty = [str(s.frame_id) for s in samples if not s.labels.valid.any()]
+    if empty:
+        samples = [s for s in samples if s.labels.valid.any()]
+        if not samples:
+            raise EmptyFrame(f"no window has a valid cell (frames {', '.join(empty)})")
+        print(f"skipped {len(empty)} window(s) with no valid cell: frames {', '.join(empty)}")
     train, heldout = pipeline.split_train_heldout(samples, cfg.get("train.val_fraction"))
     if args.teacher == "synth":
         pipeline.attach_synth_teacher(
             train, cfg.get("teacher.kappa"), cfg.get("teacher.sigma"), seed=cfg.get("train.seed")
         )
     elif grids is not None:
+        # dropping empty windows can move the split onto frames not yet read
+        unread = [s.frame_id for s in train if s.frame_id not in grids]
+        grids.update(_read_teacher_files(args.teacher, cfg, unread))
         pipeline.attach_file_teacher(train, args.teacher, grids)
     logs = pipeline.train_student(net, train, heldout, cfg, epochs, print)
     nnet.save_checkpoint(args.out_ckpt, net)

@@ -44,6 +44,10 @@ def align_to_current(
     ordered current-first: entry j is the frame j steps back, and entry 0
     is ``frames[current]`` untouched.  Frames newer than ``current`` are
     excluded.
+
+    This is the whole-frame reference: ``pipeline.build_sample`` applies the
+    same transforms block by block and never holds an aligned window.  The
+    tests compare the two, and perfbench traces this function by name.
     """
     if len(frames) != len(poses):
         raise IndexOutOfRange(

@@ -1,8 +1,9 @@
 """Sequence-to-sample plumbing, the training loop, and evaluation.
 
 A training sample is one temporal window ending at frame i: the window's
-frames are aligned into frame i's viewpoint, projected, pooled into the
-motion tensor, and paired with frame i's cell labels (and, when
+frames are taken block by block into frame i's viewpoint and projected,
+so no aligned frame is ever held whole, then pooled into the motion
+tensor and paired with frame i's cell labels (and, when
 distilling, a teacher logit grid).  Independent frames (projection,
 inference) may run on a thread pool through ``map_frames``; results are
 collected in frame order so outputs are identical at any thread count.
@@ -31,6 +32,8 @@ from .kitti_io import (
     read_scan,
     remap_labels,
 )
+
+BLOCK = 16_384  # points per projection block; each of its float64 temporaries is under 1 MB
 
 
 @dataclass
@@ -90,24 +93,39 @@ def build_sample(
     window: int,
     split: int,
 ) -> FrameSample:
-    """Project the window ending at ``index`` into one training sample."""
+    """Project the window ending at ``index`` into one training sample.
+
+    Every frame, newest first, runs through one loop over blocks of at most
+    ``BLOCK`` points: a past frame's block is moved into the current view
+    (``geometry.transform_points``), each block is binned
+    (``bev.project_to_cells``) and its z values are folded into the frame's
+    per-cell max and min (``bev.fold_heights``).  No aligned cloud is ever
+    whole, and the sample is, bit for bit, that of the whole frames of
+    ``geometry.align_to_current``.
+    """
     first = index - window + 1
     if first < 0:
         raise ConfigError(f"frame {index} lacks a full window of {window}")
-    aligned = geometry.align_to_current(
-        clouds[first : index + 1], poses[first : index + 1], window - 1
-    )
-    # aligned clouds are ordered current-first; height images newest-first
-    images = []
-    for step, cloud in enumerate(aligned):
-        cells = bev.project_to_cells(cloud, grid)
-        if step == 0:
-            current_cells = cells
-        images.append(bev.height_image(cells, cloud, grid))
-    q1 = images[:split]
-    q2 = images[split:]
-    motion = bev.motion_residuals(q1, q2)
-    labels = bev.cell_labels(current_cells, classes[index], grid)
+    inv_current = poses[index].inverse()
+    images = []  # height images, newest first
+    for k in range(index, first - 1, -1):
+        cloud = clouds[k]
+        flats = []  # the current frame's block cell maps, dropped at the next frame
+        pose = None if k == index else inv_current @ poses[k]  # T_current^-1 . T_k
+        bounds = None
+        for start in range(0, len(cloud) or 1, BLOCK):  # an empty frame is one empty block
+            block = PointCloud(cloud.points[start : start + BLOCK], cloud.frame_id)
+            if pose is not None:
+                block = geometry.transform_points(block, pose)
+            cells = bev.project_to_cells(block, grid)
+            bounds = bev.fold_heights(cells, block, bounds)
+            if pose is None:
+                flats.append(cells.flat)
+        images.append(bev.height_image(bounds))
+        if pose is None:  # labelled first: the peak does not grow with the window
+            current_cells = bev.CellIndexMap(shape=grid.shape, flat=np.concatenate(flats))
+            labels = bev.cell_labels(current_cells, classes[index], grid)
+    motion = bev.motion_residuals(images[:split], images[split:])
     return FrameSample(
         frame_id=clouds[index].frame_id,
         motion=motion,

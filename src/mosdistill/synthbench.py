@@ -103,9 +103,7 @@ def gen_scene(
     bg_r = cfg.arena_radius * np.sqrt(rng.uniform(size=cfg.n_static))
     bg_theta = rng.uniform(0.0, 2.0 * np.pi, size=cfg.n_static)
     bg_z = rng.uniform(*_BACKGROUND_Z, size=cfg.n_static)
-    background = np.column_stack(
-        [bg_r * np.cos(bg_theta), bg_r * np.sin(bg_theta), bg_z]
-    )
+    bg_xy = (bg_r * np.cos(bg_theta), bg_r * np.sin(bg_theta))
     n_points = len(discs) * cfg.points_per_disc + cfg.n_static
     intensity = rng.uniform(size=n_points).astype(np.float32)
 
@@ -118,17 +116,17 @@ def gen_scene(
     labels: list[np.ndarray] = []
     poses: list[Pose] = []
     for f in range(cfg.n_frames):
-        world = np.empty((n_points, 3))
+        # sensor = world - f * ego, in float64, written straight into the float32 frame
+        shift = f * ego
+        pts = np.empty((n_points, 4), dtype=np.float32)
         for disc, local in zip(discs, disc_points):
             lo, hi = disc.point_range
-            world[lo:hi] = local
-            world[lo:hi, :2] += disc.center_at(f)
-        if cfg.n_static:
-            world[-cfg.n_static :] = background
-        sensor = world.copy()
-        sensor[:, :2] -= f * ego
-        pts = np.empty((n_points, 4), dtype=np.float32)
-        pts[:, :3] = sensor
+            pts[lo:hi, :2] = (local[:, :2] + disc.center_at(f)) - shift
+            pts[lo:hi, 2] = local[:, 2]
+        bg = pts[len(pts) - cfg.n_static :]
+        for axis in range(2):
+            np.subtract(bg_xy[axis], shift[axis], out=bg[:, axis], casting="same_kind")
+        bg[:, 2] = bg_z
         pts[:, 3] = intensity
         frames.append(PointCloud(points=pts, frame_id=f))
         labels.append(classes.copy())

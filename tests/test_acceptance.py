@@ -88,7 +88,7 @@ def test_criterion_3_projection_oracle():
         )
         cells = bev.project_to_cells(cloud, grid)
         np.testing.assert_array_equal(cells.flat, project_oracle(cloud, grid))
-        img = bev.height_image(cells, cloud, grid)
+        img = bev.height_image(bev.fold_heights(cells, cloud))
         np.testing.assert_array_equal(img, height_oracle(cloud, grid))
         checked += 1
     elapsed = time.perf_counter() - t0

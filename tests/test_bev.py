@@ -152,7 +152,7 @@ class TestHeightImage:
     def test_span(self):
         c = cloud([[1, 0, -1.0], [1, 0, 0.5], [1, 0, 1.0]])
         grid = self.grid()
-        img = bev.height_image(bev.project_to_cells(c, grid), c, grid)
+        img = bev.height_image(bev.fold_heights(bev.project_to_cells(c, grid), c))
         u, v = uv(bev.project_to_cells(c, grid), 0)
         assert img.shape == grid.shape and img.dtype == np.float64
         assert img[u, v] == pytest.approx(2.0)
@@ -161,13 +161,13 @@ class TestHeightImage:
     def test_single_point_cell(self):
         c = cloud([[1, 0, 0.7]])
         grid = self.grid()
-        img = bev.height_image(bev.project_to_cells(c, grid), c, grid)
+        img = bev.height_image(bev.fold_heights(bev.project_to_cells(c, grid), c))
         assert img.max() == 0.0
 
     def test_empty_cells(self):
         grid = self.grid()
         c = cloud(np.zeros((0, 3)))
-        img = bev.height_image(bev.project_to_cells(c, grid), c, grid)
+        img = bev.height_image(bev.fold_heights(bev.project_to_cells(c, grid), c))
         assert img.shape == grid.shape
         assert (img == 0).all()
 
@@ -175,8 +175,27 @@ class TestHeightImage:
         grid = bev.BevGrid(n_radial=6, n_angular=9, r_max=20.0)
         for _ in range(10):
             c = random_cloud(rng, int(rng.integers(1, 100)), r_spread=25.0)
-            img = bev.height_image(bev.project_to_cells(c, grid), c, grid)
+            img = bev.height_image(bev.fold_heights(bev.project_to_cells(c, grid), c))
             np.testing.assert_array_equal(img, height_oracle(c, grid))
+
+    def test_blocks_fold_to_the_whole_frame(self, rng):
+        grid = bev.BevGrid(n_radial=6, n_angular=9, r_max=20.0)
+        c = random_cloud(rng, 300, r_spread=25.0)
+        cells = bev.project_to_cells(c, grid)
+        whole = bev.fold_heights(cells, c)
+        cuts = [0, *sorted(rng.integers(0, len(c), 4)), len(c)]
+        bounds = None
+        for lo, hi in zip(cuts, cuts[1:]):
+            part = PointCloud(points=c.points[lo:hi])
+            bounds = bev.fold_heights(bev.project_to_cells(part, grid), part, bounds)
+        np.testing.assert_array_equal(bounds, whole)
+        np.testing.assert_array_equal(bev.height_image(bounds), height_oracle(c, grid))
+
+    def test_cell_map_of_another_cloud(self):
+        grid = self.grid()
+        cells = bev.project_to_cells(cloud([[1, 0, 0.0]]), grid)
+        with pytest.raises(ShapeMismatch, match="point count"):
+            bev.fold_heights(cells, cloud(np.zeros((2, 3))))
 
 
 def make_image(values):
@@ -213,8 +232,8 @@ class TestMotionResiduals:
         older = cloud([[5.0, 0.0, -1.0], [5.0, 0.0, 1.0]])
         cell_a = uv(bev.project_to_cells(newer, grid), 0)
         cell_b = uv(bev.project_to_cells(older, grid), 0)
-        img1 = bev.height_image(bev.project_to_cells(newer, grid), newer, grid)
-        img2 = bev.height_image(bev.project_to_cells(older, grid), older, grid)
+        img1 = bev.height_image(bev.fold_heights(bev.project_to_cells(newer, grid), newer))
+        img2 = bev.height_image(bev.fold_heights(bev.project_to_cells(older, grid), older))
         mt = bev.motion_residuals([img1], [img2])
         assert mt.channels[0][cell_a] > 0
         assert mt.channels[1][cell_b] > 0

@@ -201,13 +201,41 @@ class TestTrain:
         )
         assert code == 3
 
-    def test_empty_frame_named_exit_one(self, seq_dir, tmp_path, capsys):
+    @staticmethod
+    def empty_scans(seq_dir, *frame_ids):
         # a 0-byte scan with its 0-byte label file is a valid, empty frame
-        (seq_dir / "velodyne" / "000004.bin").write_bytes(b"")
-        (seq_dir / "labels" / "000004.label").write_bytes(b"")
-        code, _, _ = self.train(seq_dir, tmp_path, "empty", ["--teacher", "synth"])
-        assert code == 1
-        assert "no valid cells in frame 4" in capsys.readouterr().err
+        for i in frame_ids:
+            (seq_dir / "velodyne" / f"{i:06d}.bin").write_bytes(b"")
+            (seq_dir / "labels" / f"{i:06d}.label").write_bytes(b"")
+
+    def test_empty_frame_skipped_and_named(self, seq_dir, tmp_path, capsys):
+        # frames 3..6 have a window; frame 4's has no valid cell
+        self.empty_scans(seq_dir, 4)
+        code, ckpt, log = self.train(seq_dir, tmp_path, "empty", ["--teacher", "synth"])
+        out = capsys.readouterr().out
+        assert code == 0 and ckpt.is_file()
+        assert out.splitlines()[0] == "skipped 1 window(s) with no valid cell: frames 4"
+        assert sum(line.startswith("skipped") for line in out.splitlines()) == 1
+        assert len(log.read_text().splitlines()) == 2
+
+    def test_only_empty_windows_exit_one(self, seq_dir, tmp_path, capsys):
+        self.empty_scans(seq_dir, 3, 4, 5, 6)
+        code, ckpt, _ = self.train(seq_dir, tmp_path, "none", ["--teacher", "synth"])
+        assert code == 1 and not ckpt.exists()
+        assert capsys.readouterr().err == "error: no window has a valid cell (frames 3, 4, 5, 6)\n"
+
+    def test_empty_windows_move_the_split_onto_unread_teacher_files(
+        self, seq_dir, tmp_path, zero_ckpt
+    ):
+        logits = tmp_path / "logits"
+        args = ["--ckpt", str(zero_ckpt), "--seq", str(seq_dir), "--out", str(logits)]
+        assert main(["export-logits", *args, *tiny_cli_args()]) == 0
+        # without frames 3 and 4, held-out frame 6 trains, so its file is read
+        self.empty_scans(seq_dir, 3, 4)
+        assert self.train(seq_dir, tmp_path, "moved", ["--teacher", str(logits)])[0] == 0
+        (logits / "000006.logits").unlink()
+        code, ckpt, _ = self.train(seq_dir, tmp_path, "gone", ["--teacher", str(logits)])
+        assert code == 1 and not ckpt.exists()
 
     @pytest.mark.parametrize(
         "args, message",

@@ -2,6 +2,7 @@ import shutil
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from mosdistill import bev, geometry, metrics, nnet, pipeline
 from mosdistill.errors import ConfigError, EmptyFrame
 from mosdistill.kitti_io import CLASS_UNLABELED, PointCloud, Pose
-from mosdistill.synthbench import gen_sequence
+from mosdistill.synthbench import SceneConfig, gen_sequence
 from oracle_utils import height_oracle, project_oracle, serial_train_oracle
 
 
@@ -117,6 +118,23 @@ class TestBuildSamples:
             pipeline.build_sample(
                 clouds, classes, poses, 1, tiny_config.bev_grid(), 4, 2
             )
+
+    def test_peak_memory_does_not_grow_with_the_window(self):
+        # tracemalloc counts numpy's allocations exactly, so the ratio of
+        # the two peaks is a property of the code, not of the machine; a
+        # window that held its aligned frames peaked about 3x higher at 8
+        scene = SceneConfig(n_frames=8, n_static=100_000 - 250, seed=0)
+        clouds, classes, poses = gen_sequence(scene)
+        grid = bev.BevGrid()
+        peaks = {}
+        for window in (2, 8):
+            tracemalloc.start()
+            try:
+                pipeline.build_sample(clouds, classes, poses, 7, grid, window, 1)
+                peaks[window] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] <= 1.1 * peaks[2]
 
 
 class TestEvaluate:
@@ -317,6 +335,52 @@ def degenerate_frame(kind, rng, dtype, frame_id):
     return PointCloud(points=pts, frame_id=frame_id)
 
 
+def tilted_pose(rng):
+    """A rigid pose turned by any angle about an axis within about a degree
+    of z and shifted by up to 1 m, so aligned frames stay on DEGENERATE_GRID
+    and keep their z order."""
+    axis = np.array([*rng.normal(0.0, 0.01, 2), 1.0])
+    axis /= np.linalg.norm(axis)
+    k = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
+    angle = rng.uniform(-np.pi, np.pi)
+    r = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)  # Rodrigues
+    return Pose.from_rt(r, [*rng.uniform(-1.0, 1.0, 2), 0.0])
+
+
+def whole_frame_oracle(clouds, poses, grid, split):
+    """Current cells, current height image and motion channels of the window
+    ending at the last frame, from the whole frames that align_to_current
+    gives and the per-point loop oracles."""
+    aligned = geometry.align_to_current(clouds, poses, len(clouds) - 1)
+    heights = [height_oracle(cloud, grid) for cloud in aligned]
+    diff = np.max(heights[:split], axis=0) - np.max(heights[split:], axis=0)
+    motion = np.array([diff] * split + [-diff] * (len(heights) - split))
+    return project_oracle(aligned[0], grid), heights[0], motion
+
+
+def assert_matches_whole_frames(sample, clouds, poses, grid, split):
+    cells, height, motion = whole_frame_oracle(clouds, poses, grid, split)
+    np.testing.assert_array_equal(sample.cells.flat, cells)
+    np.testing.assert_array_equal(sample.height, height)
+    np.testing.assert_array_equal(sample.motion.channels, motion)
+
+
+def sized_frame(n, rng, frame_id):
+    """n float32 points around DEGENERATE_GRID: some beyond r_max or the z
+    range, and about 1% of the coordinates NaN or infinite.  The last point
+    sits near the origin at z = 1.9, above every other in-range point, so
+    the span of its cell shows whether the frame's tail was projected."""
+    xyz = np.column_stack([rng.uniform(-12.0, 12.0, (n, 2)), rng.uniform(-1.5, 1.5, n)])
+    outside = rng.random(n) < 0.05
+    xyz[outside, 2] = rng.choice([-1.0, 1.0], outside.sum()) * rng.uniform(2.0, 5.0, outside.sum())
+    bad = rng.random((n, 3)) < 0.01
+    xyz[bad] = rng.choice([np.nan, np.inf, -np.inf], bad.sum())
+    if n:
+        xyz[-1] = [*rng.uniform(-3.0, 3.0, 2), 1.9]
+    pts = np.column_stack([xyz, rng.uniform(0.0, 1.0, n)]).astype(np.float32)
+    return PointCloud(points=pts, frame_id=frame_id)
+
+
 class TestDegenerateWindows:
     @pytest.mark.filterwarnings("error")
     @given(
@@ -333,15 +397,12 @@ class TestDegenerateWindows:
         split = min(split, window - 1)
         clouds = [degenerate_frame(k, rng, dtype, i) for i, k in enumerate(kinds)]
         classes = [rng.integers(0, 4, len(c)) for c in clouds]
-        # the ego moves 0.1 m along x per frame
-        poses = [Pose.from_rt(np.eye(3), [0.1 * i, 0.0, 0.0]) for i in range(window)]
+        poses = [tilted_pose(rng) for _ in range(window)]
         grid = DEGENERATE_GRID
         sample = pipeline.build_sample(
             clouds, classes, poses, window - 1, grid, window, split
         )
-        current = clouds[-1]
-        np.testing.assert_array_equal(sample.cells.flat, project_oracle(current, grid))
-        np.testing.assert_array_equal(sample.height, height_oracle(current, grid))
+        assert_matches_whole_frames(sample, clouds, poses, grid, split)
         aligned = geometry.align_to_current(clouds, poses, window - 1)
         assert len(aligned) == window
         for steps_back, cloud in enumerate(aligned):
@@ -356,6 +417,27 @@ class TestDegenerateWindows:
         if kinds[-1] in ("empty", "out_of_range"):
             assert not sample.cells.assigned.any()
             assert not sample.labels.valid.any()
+
+    # inf coordinates turned by a rotation meet inf - inf in transform_points
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("current", range(6))
+    def test_frames_around_the_block_size(self, current):
+        # six frames of 0, 1, BLOCK-1, BLOCK, BLOCK+1 and 2*BLOCK+17 points,
+        # each of them the current frame once, under rotated poses
+        b = pipeline.BLOCK
+        sizes = [0, 1, b - 1, b, b + 1, 2 * b + 17]
+        rng = np.random.default_rng(current)
+        order = [*rng.permutation(sizes[:current] + sizes[current + 1 :]), sizes[current]]
+        clouds = [sized_frame(int(n), rng, i) for i, n in enumerate(order)]
+        classes = [rng.integers(0, 4, len(c)) for c in clouds]
+        poses = [tilted_pose(rng) for _ in clouds]
+        split = int(rng.integers(1, len(clouds)))
+        sample = pipeline.build_sample(
+            clouds, classes, poses, len(clouds) - 1, DEGENERATE_GRID, len(clouds), split
+        )
+        assert len(clouds[-1]) == sizes[current]
+        assert_matches_whole_frames(sample, clouds, poses, DEGENERATE_GRID, split)
+        assert sample.motion.channels.any()
 
     @pytest.mark.parametrize("window", [3, 4, 9])
     def test_window_longer_than_sequence(self, rng, window):
