@@ -1,11 +1,11 @@
 """Polar bird's-eye-view projection and residual motion features.
 
 A scan is binned into an H x W polar grid (H radial rings, W angular
-sectors).  Per temporal window, each occupied cell carries the span
-max z - min z of its in-range points; the residual between the two window
-images is replicated into the motion channels with opposite signs, so a
-cell occupied in exactly one window lights up positively on that window's
-channels.
+sectors).  Each occupied cell of a frame carries the span max z - min z
+of its in-range points, and a temporal window pools its frames to their
+per-cell max; the residual between the two pooled images is replicated
+into the motion channels with opposite signs, so a cell occupied in
+exactly one window lights up positively on that window's channels.
 """
 
 from __future__ import annotations
@@ -145,24 +145,18 @@ def height_image(bounds: np.ndarray) -> np.ndarray:
     return values
 
 
-def motion_residuals(q1: list[np.ndarray], q2: list[np.ndarray]) -> MotionTensor:
-    """Build the N = len(q1) + len(q2) motion channels from two windows.
+def motion_residuals(i1: np.ndarray, i2: np.ndarray, n1: int, n2: int) -> MotionTensor:
+    """Build the N = n1 + n2 motion channels from two pooled window images.
 
-    Each window pools to its per-cell max height span over the window's
-    frames.  One difference image I1 - I2 is shared by all channels of the
-    newer window and its negation by the older window's channels.
+    ``i1`` and ``i2`` are the newer and the older window's per-cell max
+    height span over their frames, 0 where no frame occupies the cell.  One
+    difference image I1 - I2 fills the newer window's n1 channels and its
+    negation the older window's n2.
     """
-    if not q1 or not q2:
-        raise ShapeMismatch("both windows need at least one frame")
-    shape = q1[0].shape
-    if any(im.shape != shape for im in (*q1, *q2)):
-        raise ShapeMismatch("window images disagree in shape")
-    # spans are >= 0 and exactly 0 where unoccupied, so the plain max is
-    # the max over the occupied frames, and 0 where no frame is occupied
-    diff = np.max(q1, axis=0) - np.max(q2, axis=0)
-    channels = np.empty((len(q1) + len(q2), *shape))
-    channels[: len(q1)] = diff
-    channels[len(q1) :] = -diff
+    diff = i1 - i2
+    channels = np.empty((n1 + n2, *diff.shape))
+    channels[:n1] = diff
+    channels[n1:] = -diff
     return MotionTensor(channels=channels)
 
 

@@ -38,9 +38,11 @@ def _file_errors(verb: str, what: str, path):
 
 
 def read_file(path, what: str, text: bool = False) -> bytes | str:
-    """``path``'s bytes, or its text; an OSError becomes IoFailure naming ``what``."""
+    """``path``'s bytes, or its text as UTF-8 with bad bytes replaced; an
+    OSError becomes IoFailure naming ``what``."""
     with _file_errors("read", what, path):
-        return Path(path).read_text() if text else Path(path).read_bytes()
+        p = Path(path)
+        return p.read_text(encoding="utf-8", errors="replace") if text else p.read_bytes()
 
 
 def write_file(path, data: bytes | str, what: str) -> None:

@@ -531,18 +531,24 @@ def load_checkpoint(path: str | Path) -> Network:
         off += n
         return out
 
+    def text(n: int, what: str) -> str:
+        try:
+            return take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: checkpoint {what} is not UTF-8") from exc
+
     if take(4) != CKPT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic")
     (version,) = struct.unpack("<H", take(2))
     if version != CKPT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     (dlen,) = struct.unpack("<I", take(4))
-    descriptor = take(dlen).decode("utf-8")
+    descriptor = text(dlen, "descriptor")
     (n_params,) = struct.unpack("<I", take(4))
     params: dict[str, np.ndarray] = {}
     for _ in range(n_params):
         (nlen,) = struct.unpack("<I", take(4))
-        name = take(nlen).decode("utf-8")
+        name = text(nlen, "parameter name")
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
         count = int(np.prod(shape, dtype=np.int64)) if rank else 1

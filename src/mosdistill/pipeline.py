@@ -2,8 +2,8 @@
 
 A training sample is one temporal window ending at frame i: the window's
 frames are taken block by block into frame i's viewpoint and projected,
-so no aligned frame is ever held whole, then pooled into the motion
-tensor and paired with frame i's cell labels (and, when
+so no aligned frame is ever held whole, and pooled frame by frame into
+the motion tensor, paired with frame i's cell labels (and, when
 distilling, a teacher logit grid).  Independent frames (projection,
 inference) may run on a thread pool through ``map_frames``; results are
 collected in frame order so outputs are identical at any thread count.
@@ -54,12 +54,17 @@ def load_sequence(
 
     A sequence without a ``labels/`` directory (the layout of the
     SemanticKITTI test sequences) gives every point ``CLASS_UNLABELED``.
-    Fewer poses than scans raise LengthMismatch before any scan is read.
+    ``poses.txt`` pairs with scans by position, so a scan whose file-name
+    number is not its position, or fewer poses than scans, raise
+    LengthMismatch before any scan is read.
     """
     seq_dir = Path(seq_dir)
     calib = read_calib(seq_dir / "calib.txt")
     poses = read_poses(seq_dir / "poses.txt", calib)
     scan_paths = sorted((seq_dir / "velodyne").glob("*.bin"))
+    for pos, path in enumerate(scan_paths):
+        if not path.stem.isdigit() or int(path.stem) != pos:
+            raise LengthMismatch(f"{path}: at position {pos}, a gap would shift every later pose")
     if len(poses) < len(scan_paths):
         raise LengthMismatch(
             f"{seq_dir / 'poses.txt'}: {len(poses)} poses for {len(scan_paths)} scans"
@@ -99,15 +104,17 @@ def build_sample(
     ``BLOCK`` points: a past frame's block is moved into the current view
     (``geometry.transform_points``), each block is binned
     (``bev.project_to_cells``) and its z values are folded into the frame's
-    per-cell max and min (``bev.fold_heights``).  No aligned cloud is ever
-    whole, and the sample is, bit for bit, that of the whole frames of
+    per-cell max and min (``bev.fold_heights``).  Its height image goes at
+    once into its half's running max (the newer half: the first ``split``
+    frames).  No aligned cloud or frame image outlives its frame, and the
+    sample is, bit for bit, that of the whole frames of
     ``geometry.align_to_current``.
     """
     first = index - window + 1
     if first < 0:
         raise ConfigError(f"frame {index} lacks a full window of {window}")
     inv_current = poses[index].inverse()
-    images = []  # height images, newest first
+    pooled = np.zeros((2, *grid.shape))  # spans are >= 0, and 0 where unoccupied
     for k in range(index, first - 1, -1):
         cloud = clouds[k]
         flats = []  # the current frame's block cell maps, dropped at the next frame
@@ -121,18 +128,20 @@ def build_sample(
             bounds = bev.fold_heights(cells, block, bounds)
             if pose is None:
                 flats.append(cells.flat)
-        images.append(bev.height_image(bounds))
+        height = bev.height_image(bounds)
+        half = pooled[0 if index - k < split else 1]
+        np.maximum(half, height, out=half)
         if pose is None:  # labelled first: the peak does not grow with the window
+            current_height = height
             current_cells = bev.CellIndexMap(shape=grid.shape, flat=np.concatenate(flats))
             labels = bev.cell_labels(current_cells, classes[index], grid)
-    motion = bev.motion_residuals(images[:split], images[split:])
     return FrameSample(
         frame_id=clouds[index].frame_id,
-        motion=motion,
+        motion=bev.motion_residuals(pooled[0], pooled[1], split, window - split),
         labels=labels,
         cells=current_cells,
         point_classes=classes[index],
-        height=images[0],
+        height=current_height,
     )
 
 

@@ -4,7 +4,7 @@ import pytest
 from mosdistill import bev
 from mosdistill.errors import IndexOutOfRange, ShapeMismatch
 from mosdistill.kitti_io import PointCloud
-from oracle_utils import height_oracle, project_oracle, window_pool_oracle
+from oracle_utils import height_oracle, project_oracle
 
 
 def cloud(xyz, frame_id=0):
@@ -205,24 +205,25 @@ def make_image(values):
 class TestMotionResiduals:
     def test_static_scene_zero(self):
         img = make_image([[1.0, 2.0], [0.0, 0.5]])
-        mt = bev.motion_residuals([img, img], [img, img])
+        mt = bev.motion_residuals(img, img, 2, 2)
         assert (mt.channels == 0).all()
 
     def test_single_cell_signs(self):
         a = make_image([[2.0]])
         b = make_image([[0.0]])  # occupied by a single point: a zero span
-        mt = bev.motion_residuals([a], [b])
+        mt = bev.motion_residuals(a, b, 1, 1)
         assert mt.channels.shape == (2, 1, 1)
         assert mt.channels[0, 0, 0] == 2.0
         assert mt.channels[1, 0, 0] == -2.0
 
     def test_antisymmetry(self, rng):
-        q1 = [make_image(rng.uniform(0, 3, (4, 5))) for _ in range(3)]
-        q2 = [make_image(rng.uniform(0, 3, (4, 5))) for _ in range(2)]
-        mt = bev.motion_residuals(q1, q2)
+        i1 = make_image(rng.uniform(0, 3, (4, 5)))
+        i2 = make_image(rng.uniform(0, 3, (4, 5)))
+        mt = bev.motion_residuals(i1, i2, 3, 2)
         assert mt.channels.shape == (5, 4, 5)
-        for k in range(len(q1)):
-            for j in range(len(q1), mt.channels.shape[0]):
+        for k in range(3):
+            np.testing.assert_array_equal(mt.channels[k], i1 - i2)
+            for j in range(3, 5):
                 np.testing.assert_array_equal(mt.channels[k], -mt.channels[j])
 
     def test_moving_object_cells(self):
@@ -234,37 +235,9 @@ class TestMotionResiduals:
         cell_b = uv(bev.project_to_cells(older, grid), 0)
         img1 = bev.height_image(bev.fold_heights(bev.project_to_cells(newer, grid), newer))
         img2 = bev.height_image(bev.fold_heights(bev.project_to_cells(older, grid), older))
-        mt = bev.motion_residuals([img1], [img2])
+        mt = bev.motion_residuals(img1, img2, 1, 1)
         assert mt.channels[0][cell_a] > 0
         assert mt.channels[1][cell_b] > 0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            bev.motion_residuals(
-                [make_image(np.zeros((2, 2)))], [make_image(np.zeros((3, 3)))]
-            )
-
-    def test_window_pooling_matches_loop_oracle(self, rng):
-        # the pooled max reads only the values, so it relies on a height
-        # image holding 0 where unoccupied and a span >= 0 where occupied;
-        # windows here have empty frames, empty cells and zero spans
-        def window(shape):
-            frames = []
-            for _ in range(int(rng.integers(1, 5))):
-                occ = rng.random(shape) < rng.choice([0.0, 0.3, 0.7, 1.0])
-                spans = rng.uniform(0, 3, shape) * (rng.random(shape) < 0.8)
-                frames.append((np.where(occ, spans, 0.0), occ))
-            return frames
-
-        for _ in range(200):
-            shape = tuple(int(d) for d in rng.integers(1, 6, 2))
-            q1, q2 = window(shape), window(shape)
-            mt = bev.motion_residuals([v for v, _ in q1], [v for v, _ in q2])
-            diff = window_pool_oracle(q1) - window_pool_oracle(q2)
-            for k in range(len(q1)):
-                np.testing.assert_array_equal(mt.channels[k], diff)
-            for k in range(len(q1), mt.channels.shape[0]):
-                np.testing.assert_array_equal(mt.channels[k], -diff)
 
 
 class TestCellLabels:

@@ -123,6 +123,19 @@ class TestProject:
         out = tmp_path / "proj"
         assert main(["project", "--seq", str(seq_dir), "--out", str(out), *tiny_cli_args()]) == 2
 
+    def test_missing_scan_exit_two(self, seq_dir, tmp_path, capsys):
+        # poses.txt pairs with scans by position: without scan 4, scan 5
+        # would take its pose and every later scan its predecessor's
+        (seq_dir / "velodyne" / "000004.bin").unlink()
+        (seq_dir / "labels" / "000004.label").unlink()
+        out = tmp_path / "proj"
+        assert main(["project", "--seq", str(seq_dir), "--out", str(out), *tiny_cli_args()]) == 2
+        scan = seq_dir / "velodyne" / "000005.bin"
+        assert capsys.readouterr().err == (
+            f"error: {scan}: at position 4, a gap would shift every later pose\n"
+        )
+        assert not out.exists()
+
     def test_meta_parses(self, seq_dir, tmp_path):
         out = tmp_path / "proj"
         main(["project", "--seq", str(seq_dir), "--out", str(out), *tiny_cli_args()])
@@ -565,6 +578,54 @@ class TestNonRigidTransform:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {where}: rotation block is not orthonormal within 1e-6"
         ]
+
+
+class TestNonUtf8Bytes:
+    """A byte that is not UTF-8 in a text file or a checkpoint is malformed
+    input like any other: one ``error:`` line from the file's own parser,
+    nothing written, no traceback."""
+
+    def run(self, capsys, command, seq_dir, tmp_path, ckpt, *extra):
+        argv = command_argv(command, tmp_path, ckpt)
+        argv[argv.index("--seq") + 1] = str(seq_dir)
+        code = main([*argv, *tiny_cli_args(), *extra])
+        assert not (tmp_path / "out").exists()
+        return code, capsys.readouterr().err.splitlines()
+
+    def test_poses_exit_two(self, seq_dir, tmp_path, capsys):
+        path = seq_dir / "poses.txt"
+        path.write_bytes(b"\xff" + path.read_bytes())
+        code, err = self.run(capsys, "project", seq_dir, tmp_path, None)
+        assert code == 2
+        assert err == [f"error: {path}:1: could not convert string to float: '\ufffd1'"]
+
+    def test_calib_exit_two(self, seq_dir, tmp_path, capsys):
+        path = seq_dir / "calib.txt"
+        path.write_bytes(b"Tr: 1 0 0\xff 0\n")
+        code, err = self.run(capsys, "project", seq_dir, tmp_path, None)
+        assert code == 2
+        assert err == [f"error: {path}: Tr: expected 12 values, got 4"]
+
+    def test_config_exit_one(self, seq_dir, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"bev.window=\xff\n")
+        code, err = self.run(capsys, "project", seq_dir, tmp_path, None, "--config", str(path))
+        assert code == 1
+        assert err == ["error: bev.window must be an integer, got \ufffd"]
+
+    @pytest.mark.parametrize(
+        "what, offset", [("descriptor", 10), ("parameter name", 37)], ids=["descriptor", "name"]
+    )
+    def test_checkpoint_exit_two(self, seq_dir, tmp_path, zero_ckpt, capsys, what, offset):
+        data = bytearray(zero_ckpt.read_bytes())
+        # magic, version and length take 10 bytes; after the descriptor, the
+        # parameter count and the first name's length take 8
+        assert data[10:29] == b"student:in=4,base=8" and data[33] == 6
+        data[offset] = 0xFF
+        zero_ckpt.write_bytes(bytes(data))
+        code, err = self.run(capsys, "eval", seq_dir, tmp_path, zero_ckpt)
+        assert code == 2
+        assert err == [f"error: {zero_ckpt}: checkpoint {what} is not UTF-8"]
 
 
 class TestExportLogits:
