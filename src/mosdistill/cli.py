@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bev, nnet, pipeline, teacher, verify
+from . import bev, losses, nnet, pipeline, teacher, verify
 from .config import RunConfig, documented_defaults, positive_int
 from .errors import (
     ConfigError, EmptyFrame, IoFailure, MosDistillError, NonFiniteLoss, ShapeMismatch, make_dirs,
@@ -175,25 +175,34 @@ def _load_labeled_sequence(args):
     return pipeline.load_sequence(args.seq)
 
 
-def _read_teacher_files(teacher_dir: str, cfg: RunConfig, frame_ids: list[int]) -> dict:
-    """The teacher grid of each of ``frame_ids`` from ``teacher_dir``, by
-    frame id: IoFailure naming the first missing ``.logits`` file,
-    ShapeMismatch naming the file and frame of a grid whose shape is not
-    that of the label grid."""
+def _teacher_reader(teacher_dir: str, cfg: RunConfig):
+    """``read(frame_id, valid=None)``: a frame's teacher grid, its file in
+    ``teacher_dir`` read once.  The first read raises IoFailure for a missing
+    file and ShapeMismatch for a grid not shaped like the label grid; given
+    the frame's label validity mask ``valid``, a teacher mask that differs
+    raises ShapeMismatch.  Each error names the file and the frame."""
     expected = (*cfg.bev_grid().shape, NUM_CLASSES)
     grids = {}
-    for frame_id in frame_ids:
+
+    def read(frame_id: int, valid: np.ndarray | None = None) -> losses.LogitGrid:
         path = Path(teacher_dir) / teacher.logits_filename(frame_id)
-        if not path.is_file():
-            raise IoFailure(f"cannot read logits {path}: no such file")
-        grid = teacher.read_logits(path)
-        if grid.shape != expected:
+        if frame_id not in grids:
+            if not path.is_file():
+                raise IoFailure(f"cannot read logits {path}: no such file")
+            grid = teacher.read_logits(path)
+            if grid.shape != expected:
+                raise ShapeMismatch(
+                    f"{path}: teacher grid {grid.shape} does not match the label grid "
+                    f"{expected} of frame {frame_id}"
+                )
+            grids[frame_id] = grid
+        if valid is not None and not np.array_equal(grids[frame_id].valid, valid):
             raise ShapeMismatch(
-                f"{path}: teacher grid {grid.shape} does not match the label grid "
-                f"{expected} of frame {frame_id}"
+                f"{path}: teacher validity mask differs from the label grid of frame {frame_id}"
             )
-        grids[frame_id] = grid
-    return grids
+        return grids[frame_id]
+
+    return read
 
 
 def cmd_train(args) -> int:
@@ -206,12 +215,13 @@ def cmd_train(args) -> int:
     net = nnet.build_network(pipeline.student_descriptor(cfg), seed=cfg.get("train.seed"))
     pipeline.check_network(net, cfg)
     clouds, classes, poses = _load_labeled_sequence(args)
-    grids = None
+    read_teacher = None
     if args.teacher not in ("none", "synth"):
+        read_teacher = _teacher_reader(args.teacher, cfg)
         # the training frames' files are read before any sample is built
         idxs = pipeline.usable_frames(len(clouds), cfg.get("bev.window"))
-        train_idxs = pipeline.split_train_heldout(idxs, cfg.get("train.val_fraction"))[0]
-        grids = _read_teacher_files(args.teacher, cfg, [clouds[i].frame_id for i in train_idxs])
+        for i in pipeline.split_train_heldout(idxs, cfg.get("train.val_fraction"))[0]:
+            read_teacher(clouds[i].frame_id)
     samples = pipeline.build_samples(clouds, classes, poses, cfg, threads=args.threads)
     empty = [str(s.frame_id) for s in samples if not s.labels.valid.any()]
     if empty:
@@ -224,11 +234,12 @@ def cmd_train(args) -> int:
         pipeline.attach_synth_teacher(
             train, cfg.get("teacher.kappa"), cfg.get("teacher.sigma"), seed=cfg.get("train.seed")
         )
-    elif grids is not None:
-        # dropping empty windows can move the split onto frames not yet read
-        unread = [s.frame_id for s in train if s.frame_id not in grids]
-        grids.update(_read_teacher_files(args.teacher, cfg, unread))
-        pipeline.attach_file_teacher(train, args.teacher, grids)
+    elif read_teacher is not None:
+        # dropping empty windows can move the split onto unread files: read them all first
+        for sample in train:
+            read_teacher(sample.frame_id)
+        for sample in train:
+            sample.teacher_logits = read_teacher(sample.frame_id, sample.labels.valid)
     logs = pipeline.train_student(net, train, heldout, cfg, epochs, print)
     nnet.save_checkpoint(args.out_ckpt, net)
     if args.log:

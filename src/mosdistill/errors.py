@@ -45,7 +45,7 @@ def read_file(path, what: str, text: bool = False) -> bytes | str:
         return p.read_text(encoding="utf-8", errors="replace") if text else p.read_bytes()
 
 
-def write_file(path, data: bytes | str, what: str) -> None:
+def write_file(path, data: bytes | memoryview | str, what: str) -> None:
     """Write text or bytes to ``path``; an OSError becomes IoFailure naming ``what``."""
     with _file_errors("write", what, path):
         if isinstance(data, str):

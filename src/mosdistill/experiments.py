@@ -37,8 +37,8 @@ BENCHMARK_OVERRIDES = {
 }
 EVAL_FRAMES = 17                 # 10 usable evaluation windows
 DEFAULT_EPOCHS = 30
-TEACHER_KAPPA = 10.0
-TEACHER_SIGMA = 1.0
+TEACHER_KAPPA = RunConfig.defaults().get("teacher.kappa")  # the config defaults, for perfbench
+TEACHER_SIGMA = RunConfig.defaults().get("teacher.sigma")
 
 
 @dataclass
@@ -72,9 +72,8 @@ def run_seed(
     train_samples = pipeline.build_samples(clouds, classes, poses, cfg)
     eval_samples = _build_eval_samples(cfg, seed)
     # the baseline's gamma of 0 keeps total_loss from reading the teacher
-    pipeline.attach_synth_teacher(
-        train_samples, TEACHER_KAPPA, TEACHER_SIGMA, seed=cfg.get("train.seed")
-    )
+    kappa, sigma = cfg.get("teacher.kappa"), cfg.get("teacher.sigma")
+    pipeline.attach_synth_teacher(train_samples, kappa, sigma, seed=cfg.get("train.seed"))
 
     outcome: dict[str, float] = {}
     for mode in MODES:

@@ -86,9 +86,10 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid 4x4 transform (row-major, meters): a pose, or the camera-to-LiDAR
-    extrinsic ``Tr`` of a KITTI odometry calib file.  A matrix that is not
-    rigid raises ValueError."""
+    """4x4 transform (row-major, meters): a pose, or the camera-to-LiDAR
+    extrinsic ``Tr`` of a KITTI odometry calib file.  Not a finite 4x4 with
+    bottom row [0, 0, 0, 1] raises ValueError; rigidity is checked where a
+    pose is read (``_parse_pose``), and never by ``inverse`` or ``@``."""
 
     matrix: np.ndarray
 
@@ -100,11 +101,6 @@ class Pose:
             raise ValueError("contains non-finite entries")
         if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
             raise ValueError("bottom row must be [0,0,0,1]")
-        r = m[:3, :3]
-        if np.abs(r.T @ r - np.eye(3)).max() > 1e-6:
-            raise ValueError("rotation block is not orthonormal within 1e-6")
-        if np.linalg.det(r) < 0.0:
-            raise ValueError("rotation block is a reflection")
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -148,8 +144,8 @@ def read_scan(path: str | Path) -> PointCloud:
 
 
 def write_scan(cloud: PointCloud, path: str | Path) -> None:
-    """Inverse of :func:`read_scan`; float32 LE records."""
-    write_file(path, np.ascontiguousarray(cloud.points, dtype="<f4").tobytes(), "scan")
+    """Inverse of :func:`read_scan`; float32 LE records, from the array's buffer."""
+    write_file(path, memoryview(np.ascontiguousarray(cloud.points, dtype="<f4")), "scan")
 
 
 def read_labels(path: str | Path, expected_count: int) -> np.ndarray:
@@ -171,7 +167,7 @@ def read_labels(path: str | Path, expected_count: int) -> np.ndarray:
 
 def write_labels(labels: np.ndarray, path: str | Path) -> None:
     """Inverse of :func:`read_labels`: raw labels as uint32 LE records."""
-    write_file(path, np.ascontiguousarray(labels, dtype="<u4").tobytes(), "labels")
+    write_file(path, memoryview(np.ascontiguousarray(labels, dtype="<u4")), "labels")
 
 
 def remap_labels(labels: np.ndarray) -> np.ndarray:
@@ -186,22 +182,30 @@ def _frame_id_from_name(path: Path) -> int:
 
 
 def _parse_pose(tokens: list[str], error: type[Exception], where: str) -> Pose:
-    """12 floats of a rigid 3x4 transform lifted to a Pose; anything else
-    raises ``error`` with a message prefixed by ``where``."""
+    """12 floats of a rigid 3x4 transform lifted to a Pose: finite, with a
+    rotation block orthonormal within 1e-6 that is not a reflection.
+    Anything else raises ``error`` with a message prefixed by ``where``."""
     if len(tokens) != 12:
         raise error(f"{where}: expected 12 values, got {len(tokens)}")
     m = np.eye(4)
     try:
         m[:3, :] = np.array([float(tok) for tok in tokens]).reshape(3, 4)
-        return Pose(m)
+        pose = Pose(m)
+        r = m[:3, :3]
+        if np.abs(r.T @ r - np.eye(3)).max() > 1e-6:
+            raise ValueError("rotation block is not orthonormal within 1e-6")
+        if np.linalg.det(r) < 0.0:
+            raise ValueError("rotation block is a reflection")
     except ValueError as exc:
         raise error(f"{where}: {exc}") from exc
+    return pose
 
 
 def read_poses(path: str | Path, calib: Pose) -> list[Pose]:
     """Read camera-frame poses and convert them to the LiDAR frame.
 
-    Each pose is conjugated by the extrinsic: T_velo = Tr^-1 . T_cam . Tr.
+    Each line is checked by ``_parse_pose``, then conjugated by the
+    extrinsic, unchecked: T_velo = Tr^-1 . T_cam . Tr.
     """
     path = Path(path)
     text = read_file(path, "poses", text=True)

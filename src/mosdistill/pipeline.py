@@ -217,22 +217,6 @@ def attach_synth_teacher(
         )
 
 
-def attach_file_teacher(
-    samples: list[FrameSample], logits_dir: str | Path, grids: dict[int, losses.LogitGrid]
-) -> None:
-    """Give each sample its teacher grid, read from ``logits_dir`` and keyed
-    by frame id; its validity mask must match the sample's label grid."""
-    for sample in samples:
-        grid = grids[sample.frame_id]
-        if not np.array_equal(grid.valid, sample.labels.valid):
-            path = Path(logits_dir) / teacher.logits_filename(sample.frame_id)
-            raise ShapeMismatch(
-                f"{path}: teacher validity mask differs from the label grid "
-                f"of frame {sample.frame_id}"
-            )
-        sample.teacher_logits = grid
-
-
 def input_channels(cfg: RunConfig) -> int:
     """One motion channel per frame of the window."""
     return cfg.get("bev.window")

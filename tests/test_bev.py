@@ -108,7 +108,7 @@ class TestExactRadius:
             bev.project_to_cells(c, grid).flat, project_oracle(c, grid)
         )
 
-    @pytest.mark.filterwarnings("error")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("grid", CRITERION_3_GRIDS)
     def test_ring_edges_within_ulps(self, grid, rng):
         n = 3000
@@ -119,7 +119,7 @@ class TestExactRadius:
         xyz = np.column_stack([rad * np.cos(theta), rad * np.sin(theta), np.zeros(n)])
         self.check(xyz, grid)
 
-    @pytest.mark.filterwarnings("error")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("grid", CRITERION_3_GRIDS)
     def test_exactly_r_max(self, grid):
         r = grid.r_max
@@ -127,7 +127,7 @@ class TestExactRadius:
         xyz = np.column_stack([r * np.cos(theta), r * np.sin(theta), np.zeros(41)])
         self.check(np.vstack([xyz, [[r, 0, 0], [0, -r, 0], [-r, 0, 0]]]), grid)
 
-    @pytest.mark.filterwarnings("error")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("grid", CRITERION_3_GRIDS)
     def test_extreme_and_non_finite_coordinates(self, grid):
         values = [0.0, 1.0, 1e-200, -1e-200, 1e200, -1e200, 3e-320, np.nan, np.inf, -np.inf]
@@ -137,7 +137,7 @@ class TestExactRadius:
         z[::7] = np.nan
         self.check(np.column_stack([x.ravel(), y.ravel(), z]), grid)
 
-    @pytest.mark.filterwarnings("error")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_squares_on_tiny_grid(self, rng):
         # x*x + y*y is subnormal here, so sqrt of it is off by up to ~1%
         grid = bev.BevGrid(n_radial=64, n_angular=8, r_max=2e-161)

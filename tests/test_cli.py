@@ -12,6 +12,7 @@ import pytest
 from conftest import tiny_cli_args
 from mosdistill import cli, errors, nnet, pipeline, teacher
 from mosdistill.cli import main
+from mosdistill.config import RunConfig
 from mosdistill.metrics import read_metrics, write_metrics
 
 
@@ -303,6 +304,43 @@ class TestTrain:
             f"error: cannot read logits {logits / '000004.logits'}: no such file"
         ]
 
+    def test_teacher_validity_mask_differs_exits_two(self, seq_dir, tmp_path, zero_ckpt, capsys):
+        logits = tmp_path / "logits"
+        args = ["--ckpt", str(zero_ckpt), "--seq", str(seq_dir), "--out", str(logits)]
+        assert main(["export-logits", *args, *tiny_cli_args()]) == 0
+        # half of training frame 3's points: fewer valid cells on the same grid
+        scan, labels = seq_dir / "velodyne" / "000003.bin", seq_dir / "labels" / "000003.label"
+        n = scan.stat().st_size // 16 // 2
+        scan.write_bytes(scan.read_bytes()[: 16 * n])
+        labels.write_bytes(labels.read_bytes()[: 4 * n])
+        capsys.readouterr()
+        code, ckpt, _ = self.train(seq_dir, tmp_path, "mask", ["--teacher", str(logits)])
+        assert code == 2 and not ckpt.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {logits / '000003.logits'}: teacher validity mask differs from the label "
+            "grid of frame 3"
+        ]
+
+    def test_teacher_file_shorter_than_its_header_exits_two(
+        self, seq_dir, tmp_path, zero_ckpt, capsys, monkeypatch
+    ):
+        logits = tmp_path / "logits"
+        args = ["--ckpt", str(zero_ckpt), "--seq", str(seq_dir), "--out", str(logits)]
+        assert main(["export-logits", *args, *tiny_cli_args()]) == 0
+        short = logits / "000004.logits"
+        short.write_bytes(short.read_bytes()[:15])
+        capsys.readouterr()
+        built = []
+        build_sample = pipeline.build_sample
+        monkeypatch.setattr(
+            pipeline, "build_sample", lambda *a: built.append(a) or build_sample(*a)
+        )
+        code, ckpt, _ = self.train(seq_dir, tmp_path, "short", ["--teacher", str(logits)])
+        assert code == 2 and built == [] and not ckpt.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {short}: file shorter than the header"
+        ]
+
     def test_missing_sequence_nonzero(self, tmp_path):
         code = main(
             [
@@ -423,6 +461,14 @@ class TestBadConfigValue:
         assert main([*argv, *tiny_cli_args(["--set", item])]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert tree_bytes(tmp_path) == before
+
+    def test_set_without_equals_exits_one(self, tmp_path, capsys):
+        argv = command_argv("synth-gen", tmp_path, None)
+        assert main([*argv, "--set", "scene.n_frames"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --set expects KEY=VALUE, got 'scene.n_frames'"
+        ]
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("teacher", ["synht", "no-such-dir/"])
     def test_bad_teacher_exits_one(self, tmp_path, capsys, teacher):
@@ -578,6 +624,32 @@ class TestNonRigidTransform:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {where}: rotation block is not orthonormal within 1e-6"
         ]
+
+
+class TestRotationNearTolerance:
+    """Rigidity is checked where a pose or ``Tr`` is read, and not again on
+    the poses derived from them.  Rotation diagonals of 1 + 4.9e-7 pass the
+    parsers ((1 + 4.9e-7)^2 - 1 < 1e-6); the relative poses of a window and
+    the conjugation by ``Tr`` compound that past 1e-6, and still run.
+    ``project`` reaches both through the same ``load_sequence`` and
+    ``build_sample`` calls as ``train``, ``eval`` and ``export-logits``."""
+
+    @pytest.mark.parametrize(
+        "names", [("poses.txt",), ("poses.txt", "calib.txt")], ids=["poses", "poses-and-tr"]
+    )
+    def test_project_exits_zero(self, seq_dir, tmp_path, names):
+        for name in names:
+            path = seq_dir / name
+            lines = []
+            for line in path.read_text().splitlines():
+                head = "Tr: " if line.startswith("Tr:") else ""
+                m = np.array(line.removeprefix(head).split(), dtype=float).reshape(3, 4)
+                m[[0, 1, 2], [0, 1, 2]] = 1.0 + 4.9e-7
+                lines.append(head + " ".join(f"{v:.17g}" for v in m.ravel()))
+            path.write_text("\n".join(lines) + "\n")
+        argv = command_argv("project", tmp_path, None)
+        argv[argv.index("--seq") + 1] = str(seq_dir)
+        assert main([*argv, *tiny_cli_args()]) == 0
 
 
 class TestNonUtf8Bytes:
@@ -1020,6 +1092,16 @@ class TestOutputUnderAFile:
         out = tmp_path / "afile" / "y"
         argv = ["synth-gen", "--out", str(out), "--set", "scene.n_frames=2"]
         self.run(argv, capsys, "sequence directory", out / "sequences" / "00" / "velodyne")
+
+
+class TestDumpConfig:
+    def test_prints_the_defaults_and_reads_back(self, tmp_path, capsys):
+        assert main(["dump-config"]) == 0
+        out = capsys.readouterr().out
+        assert out == RunConfig.defaults().dump()
+        path = tmp_path / "defaults.cfg"
+        path.write_text(out)
+        assert RunConfig.from_file(path).values == RunConfig.defaults().values
 
 
 class TestExitCodes:

@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import pytest
 
-from mosdistill import cli, experiments
+from mosdistill import cli
 from mosdistill.bev import BevGrid
 from mosdistill.config import CONFIG_KEYS, RunConfig, documented_defaults, positive_int
 from mosdistill.errors import ConfigError
@@ -66,14 +66,12 @@ class TestRunConfig:
 
     def test_key_defaults_equal_field_defaults(self):
         # each section default is written twice, as a CONFIG_KEYS string and
-        # as a dataclass field (or an experiments constant); they must agree
+        # as a dataclass field; they must agree
         cfg = RunConfig.defaults()
         assert cfg.bev_grid() == BevGrid()
         assert cfg.distill() == DistillConfig()
         assert cfg.sgd() == SgdState()
         assert cfg.scene() == SceneConfig()
-        assert cfg.get("teacher.kappa") == experiments.TEACHER_KAPPA
-        assert cfg.get("teacher.sigma") == experiments.TEACHER_SIGMA
 
     def test_window_validation(self):
         # split < window is a cross-key rule: set accepts it, check rejects it

@@ -248,17 +248,39 @@ class TestValidation:
         with pytest.raises(ValueError):
             kio.Pose(m)
 
-    def test_pose_rejects_non_orthonormal(self):
+    @staticmethod
+    def assert_parsers_reject(tmp_path, m, message):
+        """``Pose`` checks only the matrix's form, so it takes ``m``; the pose
+        and calib parsers, where rigidity is checked, reject it."""
+        kio.Pose(m)
+        line = " ".join(f"{v:.17g}" for v in m[:3].ravel())
+        poses, calib = tmp_path / "poses.txt", tmp_path / "calib.txt"
+        poses.write_text(line + "\n")
+        calib.write_text(f"Tr: {line}\n")
+        with pytest.raises(MalformedPoseLine, match=f"^{re.escape(f'{poses}:1: {message}')}$"):
+            kio.read_poses(poses, kio.Pose.identity())
+        with pytest.raises(MalformedCalib, match=f"^{re.escape(f'{calib}: Tr: {message}')}$"):
+            kio.read_calib(calib)
+
+    def test_pose_rejects_non_orthonormal(self, tmp_path):
         m = np.eye(4)
         m[0, 0] = 1.1
-        with pytest.raises(ValueError):
-            kio.Pose(m)
+        self.assert_parsers_reject(tmp_path, m, "rotation block is not orthonormal within 1e-6")
 
-    def test_pose_rejects_reflection(self):
+    def test_pose_rejects_reflection(self, tmp_path):
         m = np.eye(4)
         m[0, 0] = -1.0
-        with pytest.raises(ValueError):
-            kio.Pose(m)
+        self.assert_parsers_reject(tmp_path, m, "rotation block is a reflection")
+
+    def test_derived_poses_are_not_checked_again(self):
+        # a diagonal of 1 + 4.9e-7 is orthonormal within 1e-6, but the
+        # inverse, the product and the conjugation compound it past 1e-6
+        m = np.eye(4)
+        m[[0, 1, 2], [0, 1, 2]] = 1.0 + 4.9e-7
+        pose = kio.Pose(m)
+        for derived in (pose.inverse() @ pose.inverse(), pose @ pose, pose.inverse() @ pose @ pose):
+            r = derived.matrix[:3, :3]
+            assert np.abs(r.T @ r - np.eye(3)).max() > 1e-6
 
     def test_classmap_has_four_classes(self):
         table = kio.CLASS_TABLE

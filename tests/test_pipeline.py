@@ -390,7 +390,7 @@ def sized_frame(n, rng, frame_id):
 
 
 class TestDegenerateWindows:
-    @pytest.mark.filterwarnings("error")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(
         kinds=st.lists(st.sampled_from(FRAME_KINDS), min_size=2, max_size=5),
         split=st.integers(1, 4),
