@@ -33,6 +33,9 @@ from .errors import (
 
 POINT_RECORD_BYTES = 16
 LABEL_RECORD_BYTES = 4
+#: bound on each translation entry of a pose or ``Tr``, in meters: far beyond
+#: any LiDAR sequence, and small enough that no product of poses overflows
+MAX_TRANSLATION_M = 1e9
 
 #: class ids used everywhere downstream
 CLASS_UNLABELED = 0
@@ -183,8 +186,9 @@ def _frame_id_from_name(path: Path) -> int:
 
 def _parse_pose(tokens: list[str], error: type[Exception], where: str) -> Pose:
     """12 floats of a rigid 3x4 transform lifted to a Pose: finite, with a
-    rotation block orthonormal within 1e-6 that is not a reflection.
-    Anything else raises ``error`` with a message prefixed by ``where``."""
+    rotation block orthonormal within 1e-6 that is not a reflection, and
+    translations within ``MAX_TRANSLATION_M``.  Anything else raises
+    ``error`` with a message prefixed by ``where``."""
     if len(tokens) != 12:
         raise error(f"{where}: expected 12 values, got {len(tokens)}")
     m = np.eye(4)
@@ -196,6 +200,8 @@ def _parse_pose(tokens: list[str], error: type[Exception], where: str) -> Pose:
             raise ValueError("rotation block is not orthonormal within 1e-6")
         if np.linalg.det(r) < 0.0:
             raise ValueError("rotation block is a reflection")
+        if np.abs(m[:3, 3]).max() > MAX_TRANSLATION_M:
+            raise ValueError(f"translation exceeds {MAX_TRANSLATION_M:g} m")
     except ValueError as exc:
         raise error(f"{where}: {exc}") from exc
     return pose

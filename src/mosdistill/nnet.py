@@ -4,11 +4,12 @@ No autograd: every layer implements forward and backward explicitly and is
 validated against central finite differences.  Tensors are plain numpy
 arrays shaped (C, H, W).
 
-Every forward computes in its input's dtype.  Parameters are held in
-float64 and cast to that dtype on each call (no copy when it is float64),
-so an in-place SGD update is seen by the next forward of either width.
-Training, its backward and the gradient checks run in float64; inference
-(``pipeline.predict_logits``) runs in float32.
+Every forward and backward computes in its input's dtype.  Parameters are
+the float64 master weights, cast to that dtype on each call (no copy when
+it is float64), so an in-place SGD update is seen by the next forward of
+either width.  ``pipeline.student_forward`` feeds float32 for training and
+inference alike; ``Network.backward`` returns each parameter gradient in
+float64, and the gradient checks run in float64.
 
 ``Network.backward`` consumes the caches of the training forward: it pops
 each layer's cache as it uses it, so activations are freed layer by layer
@@ -331,7 +332,7 @@ class DySample:
         g_raw = self.OFFSET_FACTOR * _pixel_unshuffle(g_offsets, s)
         gw = np.tensordot(g_raw, x, axes=([1, 2], [1, 2]))
         gb = g_raw.sum(axis=(1, 2))
-        gx += np.tensordot(self.params["linear_w"].T, g_raw, axes=1)
+        gx += np.tensordot(self.params["linear_w"].T.astype(x.dtype, copy=False), g_raw, axes=1)
         return gx, {"linear_w": gw, "linear_b": gb}
 
 
@@ -407,15 +408,18 @@ class Network:
     def backward(self, gout: np.ndarray, caches: list) -> tuple[np.ndarray, dict]:
         """Backpropagate ``gout``; return the input and parameter gradients.
 
-        Consumes ``caches``: each layer's cache is popped off the list as
-        the layer uses it, so a cache is freed as soon as its layer is done
-        and the list is empty on return.
+        Each layer computes in its forward's dtype, and each parameter
+        gradient is returned in its parameter's dtype (float64), so a
+        float32 forward still updates float64 master weights.  Consumes
+        ``caches``: each layer's cache is popped off the list as the layer
+        uses it, so a cache is freed as soon as its layer is done and the
+        list is empty on return.
         """
         grads: dict[str, np.ndarray] = {}
         for name, layer in reversed(self.layers):
             gout, pgrads = layer.backward(gout, caches.pop())
             for pname, g in pgrads.items():
-                grads[f"{name}.{pname}"] = g
+                grads[f"{name}.{pname}"] = g.astype(layer.params[pname].dtype, copy=False)
         return gout, grads
 
 

@@ -262,17 +262,17 @@ def student_forward(
 ) -> tuple[losses.LogitGrid, list]:
     """Run the network on one sample; validity follows the label grid.
 
-    ``train=True`` is the training forward: float64, with the layer caches
-    for ``backward``.  ``train=False`` is inference: the motion channels are
-    cast to float32 and the forward keeps no caches.  A non-finite
-    activation or logit raises NonFiniteLoss naming the frame; a grid that
-    breaks the rule of ``_check_grid`` raises its ConfigError.
+    The motion channels are cast to float32 once, so training and inference
+    compute in float32; the scores upcast exactly into the float64 grid.
+    ``train=True`` keeps the layer caches for ``backward``, ``train=False``
+    keeps none.  A non-finite activation or logit raises NonFiniteLoss
+    naming the frame; a grid that breaks the rule of ``_check_grid`` raises
+    its ConfigError.
     """
     _check_grid(*sample.labels.valid.shape)
     fid = sample.frame_id
-    x = sample.motion.channels if train else sample.motion.channels.astype(np.float32)
     try:
-        y, caches = net.forward(x, train=train)
+        y, caches = net.forward(sample.motion.channels.astype(np.float32), train=train)
     except NonFiniteLoss as exc:
         raise NonFiniteLoss(f"non-finite activations at frame {fid}: {exc}", frame_id=fid) from exc
     if not np.isfinite(y).all():

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -209,11 +210,15 @@ class TestTrain:
         assert log_none.read_text() == log_g0.read_text()
         assert ckpt_none.read_bytes() == ckpt_g0.read_bytes()
 
-    def test_exploding_lr_exits_three(self, seq_dir, tmp_path):
+    def test_exploding_lr_exits_three(self, seq_dir, tmp_path, capsys):
         code, _, _ = self.train(
             seq_dir, tmp_path, "boom", ["--teacher", "none", "--set", "opt.lr=1e18"]
         )
         assert code == 3
+        # float32 overflows sooner than float64, so the frame that fails
+        # first depends on the build; one line names it
+        (line,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r"error: non-finite \w+ at frame \d+: .*", line), line
 
     @staticmethod
     def empty_scans(seq_dir, *frame_ids):
@@ -650,6 +655,33 @@ class TestRotationNearTolerance:
         argv = command_argv("project", tmp_path, None)
         argv[argv.index("--seq") + 1] = str(seq_dir)
         assert main([*argv, *tiny_cli_args()]) == 0
+
+
+class TestTranslationOverflow:
+    """A translation beyond ``kitti_io.MAX_TRANSLATION_M`` is malformed
+    data, rejected where it is read, before it can overflow: without the
+    bound, the relative pose of two frames at +1e308 and -1e308 m, or the
+    conjugation of a 1e308 m pose by a -1e308 m ``Tr``, is inf."""
+
+    @pytest.mark.parametrize("name", ["poses.txt", "calib.txt"])
+    def test_exits_two_naming_the_file(self, seq_dir, tmp_path, capsys, name):
+        poses = seq_dir / "poses.txt"
+        lines = poses.read_text().splitlines()
+        if name == "poses.txt":
+            # the last window holds both frames
+            lines[-2:] = ["1 0 0 1e308 0 1 0 0 0 0 1 0", "1 0 0 -1e308 0 1 0 0 0 0 1 0"]
+            where = f"{poses}:{len(lines) - 1}"
+        else:
+            lines[0] = "1 0 0 1e308 0 1 0 0 0 0 1 0"
+            (seq_dir / name).write_text("Tr: 1 0 0 -1e308 0 1 0 0 0 0 1 0\n")
+            where = f"{seq_dir / name}: Tr"
+        poses.write_text("\n".join(lines) + "\n")
+        argv = command_argv("project", tmp_path, None)
+        argv[argv.index("--seq") + 1] = str(seq_dir)
+        assert main([*argv, *tiny_cli_args()]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {where}: translation exceeds 1e+09 m"
+        ]
 
 
 class TestNonUtf8Bytes:

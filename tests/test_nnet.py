@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mosdistill import nnet
+from mosdistill import nnet, pipeline
 from mosdistill.errors import FormatError, NonFiniteLoss, ShapeMismatch
 from mosdistill.verify import (
     check_conv_grad,
@@ -12,6 +12,7 @@ from mosdistill.verify import (
     grad_error,
     finite_difference,
 )
+from mosdistill.synthbench import gen_sequence
 from oracle_utils import (
     conv_grad_oracle,
     conv_oracle,
@@ -308,18 +309,21 @@ def _dysample_with_offsets(rng, c=3, scale=2):
     return layer
 
 
+LAYER_MAKERS = pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: nnet.Conv2d(3, 4, kernel=3, stride=1, rng=rng),
+        lambda rng: nnet.Conv2d(3, 4, kernel=3, stride=2, rng=rng),
+        lambda rng: nnet.Conv2d(3, 4, kernel=1, rng=rng),
+        lambda rng: nnet.ReLU(),
+        _dysample_with_offsets,
+    ],
+    ids=["conv3", "conv3s2", "conv1", "relu", "dysample"],
+)
+
+
 class TestFloat32Forward:
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda rng: nnet.Conv2d(3, 4, kernel=3, stride=1, rng=rng),
-            lambda rng: nnet.Conv2d(3, 4, kernel=3, stride=2, rng=rng),
-            lambda rng: nnet.Conv2d(3, 4, kernel=1, rng=rng),
-            lambda rng: nnet.ReLU(),
-            _dysample_with_offsets,
-        ],
-        ids=["conv3", "conv3s2", "conv1", "relu", "dysample"],
-    )
+    @LAYER_MAKERS
     def test_layer_follows_input_dtype(self, rng, make):
         layer = make(rng)
         x = rng.normal(size=(3, 6, 8))
@@ -330,6 +334,65 @@ class TestFloat32Forward:
         np.testing.assert_allclose(y32, y64, rtol=0, atol=1e-5)
         for p in layer.params.values():
             assert p.dtype == np.float64
+
+    @LAYER_MAKERS
+    def test_float32_backward_within_1e5_of_float64(self, rng, make):
+        # gradients of magnitude up to about 20; float32 rounding moved them
+        # by at most 2e-6 when this was written
+        layer = make(rng)
+        x = rng.normal(size=(3, 6, 8))
+        y64, cache64 = layer.forward(x)
+        g = rng.normal(size=y64.shape)
+        gx64, grads64 = layer.backward(g, cache64)
+        _, cache32 = layer.forward(x.astype(np.float32))
+        gx32, grads32 = layer.backward(g.astype(np.float32), cache32)
+        assert gx32.dtype == np.float32
+        np.testing.assert_allclose(gx32, gx64, rtol=0, atol=1e-5)
+        assert grads32.keys() == grads64.keys()
+        for name, g32 in grads32.items():
+            assert g32.dtype == np.float32, name  # no float64 promotion inside
+            np.testing.assert_allclose(g32, grads64[name], rtol=0, atol=1e-5, err_msg=name)
+
+    def test_network_backward_returns_float64_parameter_gradients(self, rng):
+        net = nnet.build_network("student:in=4,base=8", seed=5)
+        for name, p in net.parameters().items():
+            if name.endswith("linear_w"):
+                p[...] = rng.normal(0.0, 0.1, size=p.shape)
+        x = rng.normal(size=(4, 16, 36))
+        y64, caches64 = net.forward(x)
+        g = rng.normal(size=y64.shape)
+        _, grads64 = net.backward(g, caches64)
+        y32, caches32 = net.forward(x.astype(np.float32))
+        assert y32.dtype == np.float32
+        gx32, grads32 = net.backward(g, caches32)  # the float64 gradient, as from the loss
+        assert gx32.dtype == np.float32 and caches32 == []
+        assert grads32.keys() == net.parameters().keys()
+        # gradients of magnitude up to about 50 moved by at most 3e-5
+        for name, g32 in grads32.items():
+            assert g32.dtype == np.float64, name
+            np.testing.assert_allclose(g32, grads64[name], rtol=0, atol=1e-4, err_msg=name)
+
+    def test_train_student_keeps_float64_master_weights(self, tiny_config, monkeypatch):
+        samples = pipeline.build_samples(*gen_sequence(tiny_config.scene()), tiny_config)
+        pipeline.attach_synth_teacher(samples, 10.0, 0.5, seed=0)
+        net = nnet.build_network(pipeline.student_descriptor(tiny_config), seed=0)
+        states = []
+        step = nnet.SgdState.step
+
+        def spy(state, params, grads):
+            assert all(g.dtype == np.float64 for g in grads.values())
+            states.append(state)
+            step(state, params, grads)
+
+        monkeypatch.setattr(nnet.SgdState, "step", spy)
+        pipeline.train_student(net, samples, [], tiny_config, epochs=1)
+        assert states
+        params = net.parameters()
+        assert params["up1.linear_w"].any()  # the offsets are live
+        assert states[-1].velocity.keys() == params.keys()
+        for name, p in params.items():
+            assert p.dtype == np.float64, name
+            assert states[-1].velocity[name].dtype == np.float64, name
 
     def test_teacher_forward_is_float32(self, rng):
         net = nnet.build_network("teacher:in=4,base=8", seed=5)
