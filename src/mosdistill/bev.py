@@ -80,11 +80,14 @@ def project_to_cells(cloud: PointCloud, grid: BevGrid) -> CellIndexMap:
     (a ring edge; r_max is the last one) or is not finite (NaN or inf
     coordinates, overflowing squares), and where r <= 1e-140, below which
     the squares may be subnormal.  So u and the range test are exactly
-    those of np.hypot.
+    those of np.hypot.  A block with no such point skips the re-gather.
+    The key u * W + v is formed in float64, exact for grid-sized integers,
+    and unassigned points are set to -1 before its one int64 cast, so no
+    NaN or out-of-range value is ever cast.
     """
     xyz = np.asfortranarray(cloud.xyz, dtype=np.float64)  # contiguous columns
     x, y, z = xyz.T
-    # squares may overflow and NaN may reach the int casts; neither is kept
+    # squares and far points' keys may overflow, inf coordinates give NaN; none is kept
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         r = x * x
         f = y * y
@@ -97,22 +100,23 @@ def project_to_cells(cloud: PointCloud, grid: BevGrid) -> CellIndexMap:
         f -= 0.5
         np.abs(f, out=f)  # 0.5 - distance to the nearest ring edge; NaN fails <=
         fast = (f <= 0.5 - 1e-9 * (1 + grid.n_radial)) & (r > 1e-140)
-        redo = np.flatnonzero(~fast)
-        r[redo] = np.hypot(x[redo], y[redo])
-        u[redo] = np.floor(r[redo] / grid.r_max * grid.n_radial)
+        if not fast.all():
+            redo = np.flatnonzero(~fast)
+            r[redo] = np.hypot(x[redo], y[redo])
+            u[redo] = np.floor(r[redo] / grid.r_max * grid.n_radial)
         in_range = r < grid.r_max
         a = np.arctan2(y, x, out=r)
         a += np.pi
         a /= 2.0 * np.pi
         a *= grid.n_angular
-        u = u.astype(np.int64)
-        v = np.floor(a, out=a).astype(np.int64)
-        np.minimum(v, grid.n_angular - 1, out=v)
+        np.floor(a, out=a)
+        np.minimum(a, grid.n_angular - 1, out=a)
+        u *= grid.n_angular  # exact in float64 for grid-sized integers
+        u += a
     in_range &= z > grid.z_min
     in_range &= z < grid.z_max
-    u *= grid.n_angular
-    u += v
-    flat = np.where(in_range, u, -1)
+    u[~in_range] = -1  # no NaN or huge value reaches the cast
+    flat = u.astype(np.int64)
     return CellIndexMap(shape=grid.shape, flat=flat)
 
 
@@ -126,9 +130,11 @@ def fold_heights(cells: CellIndexMap, cloud: PointCloud, bounds=None) -> np.ndar
     if bounds is None:
         bounds = np.stack([np.full(cells.shape, -np.inf), np.full(cells.shape, np.inf)])
     zmax, zmin = bounds.reshape(2, -1)
-    mask = cells.assigned
-    flat = cells.flat[mask]
-    zc = cloud.xyz[:, 2][mask].astype(np.float64, copy=False)
+    flat, zc = cells.flat, cloud.xyz[:, 2]
+    if not flat.size or flat.min() < 0:  # skip the gathers when every point is assigned
+        mask = cells.assigned
+        flat, zc = flat[mask], zc[mask]
+    zc = zc.astype(np.float64, copy=False)
     np.maximum.at(zmax, flat, zc)
     np.minimum.at(zmin, flat, zc)
     return bounds

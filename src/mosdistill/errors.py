@@ -28,7 +28,7 @@ class IoFailure(MosDistillError):
 
 
 @contextmanager
-def _file_errors(verb: str, what: str, path):
+def file_errors(verb: str, what: str, path):
     """The one file-error path: an OSError inside the block becomes
     IoFailure ``cannot <verb> <what> <path>: <reason>``."""
     try:
@@ -40,14 +40,14 @@ def _file_errors(verb: str, what: str, path):
 def read_file(path, what: str, text: bool = False) -> bytes | str:
     """``path``'s bytes, or its text as UTF-8 with bad bytes replaced; an
     OSError becomes IoFailure naming ``what``."""
-    with _file_errors("read", what, path):
+    with file_errors("read", what, path):
         p = Path(path)
         return p.read_text(encoding="utf-8", errors="replace") if text else p.read_bytes()
 
 
 def write_file(path, data: bytes | memoryview | str, what: str) -> None:
     """Write text or bytes to ``path``; an OSError becomes IoFailure naming ``what``."""
-    with _file_errors("write", what, path):
+    with file_errors("write", what, path):
         if isinstance(data, str):
             Path(path).write_text(data)
         else:
@@ -56,7 +56,7 @@ def write_file(path, data: bytes | memoryview | str, what: str) -> None:
 
 def make_dirs(path, what: str) -> None:
     """``mkdir -p path``; an OSError becomes IoFailure naming ``what``."""
-    with _file_errors("write", what, path):
+    with file_errors("write", what, path):
         Path(path).mkdir(parents=True, exist_ok=True)
 
 

@@ -16,6 +16,7 @@ always succeeds, malformed input raises a typed error from
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .errors import (
     MalformedLabel,
     MalformedPoseLine,
     MalformedScan,
+    file_errors,
     read_file,
     write_file,
 )
@@ -132,16 +134,20 @@ class Pose:
 def read_scan(path: str | Path) -> PointCloud:
     """Parse a ``.bin`` scan into a PointCloud.
 
-    Point count is file_size / 16; coordinates must be finite.
+    Point count is file_size / 16; coordinates must be finite.  The file is
+    read straight into the returned (N, 4) float32 array; the coordinate
+    columns are checked on their own only when some value is not finite.
     """
     path = Path(path)
-    data = read_file(path, "scan")
-    if len(data) % POINT_RECORD_BYTES != 0:
-        raise MalformedScan(
-            f"{path}: size {len(data)} is not a multiple of {POINT_RECORD_BYTES}"
-        )
-    pts = np.frombuffer(data, dtype="<f4").reshape(-1, 4).copy()
-    if pts.size and not np.isfinite(pts[:, :3]).all():
+    with file_errors("read", "scan", path), open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size % POINT_RECORD_BYTES != 0:
+            raise MalformedScan(f"{path}: size {size} is not a multiple of {POINT_RECORD_BYTES}")
+        pts = np.empty((size // POINT_RECORD_BYTES, 4), dtype="<f4")
+        got = f.readinto(pts)
+    if got != size:
+        raise MalformedScan(f"{path}: read {got} of {size} bytes")
+    if not np.isfinite(pts).all() and not np.isfinite(pts[:, :3]).all():
         raise MalformedScan(f"{path}: non-finite coordinate")
     return PointCloud(points=pts, frame_id=_frame_id_from_name(path))
 

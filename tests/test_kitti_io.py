@@ -1,5 +1,6 @@
 import re
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ class TestReadScan:
     def test_bad_size(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00" * 15)
-        with pytest.raises(MalformedScan):
+        with pytest.raises(MalformedScan, match="size 15 is not a multiple of 16"):
             kio.read_scan(path)
 
     def test_non_finite_coordinate(self, tmp_path):
@@ -69,6 +70,45 @@ class TestReadScan:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):
             kio.read_scan(tmp_path / "nope.bin")
+
+    def test_result_owns_its_points(self, tmp_path, rng):
+        path = tmp_path / "000002.bin"
+        pts = rng.normal(size=(1000, 4)).astype("<f4")
+        path.write_bytes(pts.tobytes())
+        got = kio.read_scan(path).points
+        assert got.flags.owndata and got.flags.writeable and got.flags.c_contiguous
+        assert got.dtype == np.dtype("<f4") and got.shape == (1000, 4)
+        got[0, 0] = 7.0  # writable, and no view of anything the reader keeps
+        np.testing.assert_array_equal(kio.read_scan(path).points, pts)
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coordinate_in_last_record(self, tmp_path, rng, column, value):
+        pts = rng.normal(size=(130_000, 4)).astype("<f4")
+        pts[-1, column] = value
+        path = tmp_path / "000004.bin"
+        path.write_bytes(pts.tobytes())
+        with pytest.raises(MalformedScan, match=re.escape(f"{path}: non-finite coordinate")):
+            kio.read_scan(path)
+
+    def test_non_finite_intensities_next_to_finite_coordinates(self, tmp_path, rng):
+        pts = rng.normal(size=(130_000, 4)).astype("<f4")
+        pts[::1000, 3] = [float("nan"), float("inf"), float("-inf")] * 43 + [float("nan")]
+        path = tmp_path / "000005.bin"
+        path.write_bytes(pts.tobytes())
+        got = kio.read_scan(path).points
+        assert got.tobytes() == pts.tobytes()
+
+    def test_short_read(self, tmp_path, monkeypatch):
+        # a file that shrinks between its size check and its read
+        path = tmp_path / "000006.bin"
+        path.write_bytes(struct.pack("<4f", 1.0, 2.0, 3.0, 0.0))
+        fstat = kio.os.fstat
+        monkeypatch.setattr(
+            kio.os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 16)
+        )
+        with pytest.raises(MalformedScan, match=re.escape(f"{path}: read 16 of 32 bytes")):
+            kio.read_scan(path)
 
 
 class TestReadLabels:
