@@ -130,11 +130,9 @@ def fold_heights(cells: CellIndexMap, cloud: PointCloud, bounds=None) -> np.ndar
     if bounds is None:
         bounds = np.stack([np.full(cells.shape, -np.inf), np.full(cells.shape, np.inf)])
     zmax, zmin = bounds.reshape(2, -1)
-    flat, zc = cells.flat, cloud.xyz[:, 2]
-    if not flat.size or flat.min() < 0:  # skip the gathers when every point is assigned
-        mask = cells.assigned
-        flat, zc = flat[mask], zc[mask]
-    zc = zc.astype(np.float64, copy=False)
+    mask = cells.assigned
+    flat = cells.flat[mask]
+    zc = cloud.xyz[:, 2][mask].astype(np.float64, copy=False)
     np.maximum.at(zmax, flat, zc)
     np.minimum.at(zmin, flat, zc)
     return bounds

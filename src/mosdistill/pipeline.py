@@ -33,10 +33,10 @@ from .kitti_io import (
     remap_labels,
 )
 
-# points per projection block: few numpy calls per window, so two pool
-# threads seldom wait on each other for the interpreter lock, while each
-# float64 temporary (512 KB) still stays in cache
-BLOCK = 65_536
+# points per projection block: a 130k-point frame is four blocks, so a window
+# makes a quarter of the numpy calls it made at 16,384, and two pool threads
+# build windows faster; 65,536 slowed the one-thread build (see ROADMAP)
+BLOCK = 32_768
 
 
 @dataclass

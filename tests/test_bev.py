@@ -178,18 +178,6 @@ class TestHeightImage:
             img = bev.height_image(bev.fold_heights(bev.project_to_cells(c, grid), c))
             np.testing.assert_array_equal(img, height_oracle(c, grid))
 
-    def test_every_point_assigned(self, rng):
-        # the fold's path without the mask and its gathers
-        grid = bev.BevGrid(n_radial=6, n_angular=9, r_max=20.0)
-        xyz = np.column_stack(
-            [rng.uniform(-14.0, 14.0, (500, 2)), rng.uniform(-3.9, 1.9, 500)]
-        )
-        c = cloud(xyz)
-        cells = bev.project_to_cells(c, grid)
-        assert cells.assigned.all()
-        img = bev.height_image(bev.fold_heights(cells, c))
-        np.testing.assert_array_equal(img, height_oracle(c, grid))
-
     def test_blocks_fold_to_the_whole_frame(self, rng):
         grid = bev.BevGrid(n_radial=6, n_angular=9, r_max=20.0)
         c = random_cloud(rng, 300, r_spread=25.0)

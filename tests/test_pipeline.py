@@ -119,7 +119,7 @@ class TestBuildSamples:
                 clouds, classes, poses, 1, tiny_config.bev_grid(), 4, 2
             )
 
-    @pytest.mark.parametrize("block", [16_384, 32_768, 65_536])
+    @pytest.mark.parametrize("block", [16_384, 32_768])
     def test_peak_memory_does_not_grow_with_the_window(self, monkeypatch, block):
         # tracemalloc counts numpy's allocations exactly, so the ratio of
         # the two peaks is a property of the code, not of the machine; a
