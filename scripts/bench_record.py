@@ -71,11 +71,19 @@ def tree(root: Path, out: Path) -> dict:
             "diff_sha256": None if diff is None else hashlib.sha256(diff).hexdigest()}
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to benchmark")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
-    parser.add_argument("--repeats", type=int, default=5, help="untraced runs per seed")
+    parser.add_argument("--repeats", type=positive_int, default=5, help="untraced runs per seed")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     root = args.root.resolve()

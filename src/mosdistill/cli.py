@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import sys
 import time
 from pathlib import Path
@@ -21,8 +20,8 @@ import numpy as np
 from . import bev, losses, nnet, pipeline, teacher, verify
 from .config import RunConfig, documented_defaults, positive_int
 from .errors import (
-    ConfigError, EmptyFrame, IoFailure, MosDistillError, NonFiniteLoss, ShapeMismatch, make_dirs,
-    write_file,
+    ConfigError, EmptyFrame, IoFailure, MosDistillError, NonFiniteLoss, ShapeMismatch, file_errors,
+    make_dirs, write_file,
 )
 from .kitti_io import NUM_CLASSES
 from .metrics import write_metrics
@@ -129,11 +128,10 @@ def cmd_synth_gen(args) -> int:
 
 
 def _save_npy(path: Path, array: np.ndarray) -> None:
-    """``np.save`` through the file-error path: the same bytes, and an
-    OSError becomes IoFailure naming the file."""
-    data = io.BytesIO()
-    np.save(data, array)
-    write_file(path, data.getvalue(), "array")
+    """``np.save`` through the file-error path: an OSError becomes
+    IoFailure naming the file."""
+    with file_errors("write", "array", path):
+        np.save(path, array)
 
 
 def cmd_project(args) -> int:
@@ -285,7 +283,8 @@ def cmd_export_logits(args) -> int:
 def cmd_verify(args) -> int:
     names = list(verify.ALL_SUITES) if args.suite == "all" else [args.suite]
     ok = True
-    for result in verify.run_suites(names):
+    for name in names:
+        result = verify.ALL_SUITES[name]()
         print(result.format())
         for line in result.details:
             print(f"  {line}")

@@ -108,7 +108,3 @@ class NonFiniteLoss(MosDistillError):
     """Training produced a NaN or infinite loss value."""
 
     exit_code = 3
-
-    def __init__(self, message: str, frame_id: int | None = None) -> None:
-        super().__init__(message)
-        self.frame_id = frame_id

@@ -33,8 +33,6 @@ from .errors import (
     write_file,
 )
 
-POINT_RECORD_BYTES = 16
-LABEL_RECORD_BYTES = 4
 #: bound on each translation entry of a pose or ``Tr``, in meters: far beyond
 #: any LiDAR sequence, and small enough that no product of poses overflows
 MAX_TRANSLATION_M = 1e9
@@ -56,14 +54,10 @@ CLASS_TABLE[[10, 11, 13, 15, 18, 20, 30, 31, 32]] = CLASS_MOVABLE
 CLASS_TABLE[252:260] = CLASS_MOVING
 CLASS_TABLE.flags.writeable = False
 
-# Representative semantic id written back out per class (used by the
-# synthetic-sequence exporter).
-CANONICAL_SEMANTIC_ID = {
-    CLASS_UNLABELED: 0,
-    CLASS_STATIC: 40,   # road
-    CLASS_MOVABLE: 10,  # car
-    CLASS_MOVING: 252,  # moving car
-}
+#: inverse of ``CLASS_TABLE``: one raw label per class id (unlabeled, road,
+#: car, moving car), written out by the synthetic-sequence exporter
+RAW_LABEL = np.array([0, 40, 10, 252], dtype=np.uint32)
+RAW_LABEL.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -131,6 +125,22 @@ class Pose:
         return Pose(self.matrix @ other.matrix)
 
 
+def _read_records(path: Path, what: str, dtype: np.dtype, error: type[Exception]) -> np.ndarray:
+    """``path`` read straight into a new array of whole ``dtype`` records: a
+    partial record or a short read raises ``error``, an OSError IoFailure
+    naming ``what``."""
+    record = dtype.itemsize
+    with file_errors("read", what, path), open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size % record != 0:
+            raise error(f"{path}: size {size} is not a multiple of {record}")
+        out = np.empty(size // record, dtype=dtype)
+        got = f.readinto(out)
+    if got != size:
+        raise error(f"{path}: read {got} of {size} bytes")
+    return out
+
+
 def read_scan(path: str | Path) -> PointCloud:
     """Parse a ``.bin`` scan into a PointCloud.
 
@@ -139,14 +149,7 @@ def read_scan(path: str | Path) -> PointCloud:
     columns are checked on their own only when some value is not finite.
     """
     path = Path(path)
-    with file_errors("read", "scan", path), open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        if size % POINT_RECORD_BYTES != 0:
-            raise MalformedScan(f"{path}: size {size} is not a multiple of {POINT_RECORD_BYTES}")
-        pts = np.empty((size // POINT_RECORD_BYTES, 4), dtype="<f4")
-        got = f.readinto(pts)
-    if got != size:
-        raise MalformedScan(f"{path}: read {got} of {size} bytes")
+    pts = _read_records(path, "scan", np.dtype(("<f4", 4)), MalformedScan)
     if not np.isfinite(pts).all() and not np.isfinite(pts[:, :3]).all():
         raise MalformedScan(f"{path}: non-finite coordinate")
     return PointCloud(points=pts, frame_id=_frame_id_from_name(path))
@@ -160,13 +163,7 @@ def write_scan(cloud: PointCloud, path: str | Path) -> None:
 def read_labels(path: str | Path, expected_count: int) -> np.ndarray:
     """Parse a ``.label`` file into (N,) uint32 raw labels and check N
     against the scan."""
-    path = Path(path)
-    data = read_file(path, "labels")
-    if len(data) % LABEL_RECORD_BYTES != 0:
-        raise MalformedLabel(
-            f"{path}: size {len(data)} is not a multiple of {LABEL_RECORD_BYTES}"
-        )
-    raw = np.frombuffer(data, dtype="<u4").astype(np.uint32)
+    raw = _read_records(Path(path), "labels", np.dtype("<u4"), MalformedLabel)
     if raw.shape[0] != expected_count:
         raise LabelCountMismatch(
             f"{path}: {raw.shape[0]} labels for {expected_count} points"
@@ -258,10 +255,5 @@ def write_calib(calib: Pose, path: str | Path) -> None:
 
 
 def classes_to_raw_labels(classes: np.ndarray) -> np.ndarray:
-    """Encode class ids as (N,) uint32 raw labels using one canonical
-    semantic id per class."""
-    classes = np.asarray(classes)
-    lut = np.zeros(NUM_CLASSES, dtype=np.uint32)
-    for c, sem in CANONICAL_SEMANTIC_ID.items():
-        lut[c] = sem
-    return lut[classes]
+    """Encode class ids as (N,) uint32 raw labels through ``RAW_LABEL``."""
+    return RAW_LABEL[np.asarray(classes)]

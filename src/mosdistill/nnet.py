@@ -27,6 +27,7 @@ bilinear upsampling, which is also how it is initialized.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -555,8 +556,7 @@ def load_checkpoint(path: str | Path) -> Network:
         name = text(nlen, "parameter name")
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
+        arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
         params[name] = arr
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes")

@@ -277,9 +277,9 @@ def student_forward(
     try:
         y, caches = net.forward(sample.motion.channels.astype(np.float32), train=train)
     except NonFiniteLoss as exc:
-        raise NonFiniteLoss(f"non-finite activations at frame {fid}: {exc}", frame_id=fid) from exc
+        raise NonFiniteLoss(f"non-finite activations at frame {fid}: {exc}") from exc
     if not np.isfinite(y).all():
-        raise NonFiniteLoss(f"non-finite logits at frame {fid}", frame_id=fid)
+        raise NonFiniteLoss(f"non-finite logits at frame {fid}")
     grid = losses.LogitGrid(
         scores=np.transpose(y, (1, 2, 0)), valid=sample.labels.valid.copy()
     )
@@ -335,7 +335,7 @@ def train_student(
     its pin of ``OPENBLAS_NUM_THREADS`` and friends takes effect.
 
     Raises ConfigError when ``epochs`` is below 1 (zero epochs would leave
-    the weights untrained), NonFiniteLoss (with the offending frame id) the
+    the weights untrained), NonFiniteLoss naming the offending frame the
     moment a loss stops being finite, and EmptyFrame naming the frame that
     has no valid cell.
     """
@@ -363,9 +363,7 @@ def train_student(
         except EmptyFrame as exc:
             raise EmptyFrame(f"no valid cells in frame {sample.frame_id}") from exc
         if not np.isfinite(result.value):
-            raise NonFiniteLoss(
-                f"non-finite loss at frame {sample.frame_id}", frame_id=sample.frame_id
-            )
+            raise NonFiniteLoss(f"non-finite loss at frame {sample.frame_id}")
         _, pgrads = net.backward(np.transpose(result.grad, (2, 0, 1)), caches)
         return {**result.parts, "total": result.value}, pgrads
 

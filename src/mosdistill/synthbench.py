@@ -110,7 +110,7 @@ def gen_scene(
     classes = np.concatenate(
         [np.full(cfg.points_per_disc, d.class_id, dtype=np.uint8) for d in discs]
         + [np.full(cfg.n_static, CLASS_STATIC, dtype=np.uint8)]
-    ) if n_points else np.zeros(0, dtype=np.uint8)
+    )
 
     frames: list[PointCloud] = []
     labels: list[np.ndarray] = []

@@ -369,7 +369,3 @@ ALL_SUITES = {
     "dysample": suite_dysample,
     "lovasz": suite_lovasz,
 }
-
-
-def run_suites(names: list[str]) -> list[SuiteResult]:
-    return [ALL_SUITES[name]() for name in names]

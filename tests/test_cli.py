@@ -3,6 +3,7 @@ import inspect
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -730,6 +731,17 @@ class TestNonUtf8Bytes:
         code, err = self.run(capsys, "eval", seq_dir, tmp_path, zero_ckpt)
         assert code == 2
         assert err == [f"error: {zero_ckpt}: checkpoint {what} is not UTF-8"]
+
+    def test_checkpoint_dims_past_the_file_exit_two(self, seq_dir, tmp_path, zero_ckpt, capsys):
+        data = zero_ckpt.read_bytes()
+        # the first parameter's rank sits after its 6-byte name, at byte 43;
+        # dims whose product overflows int64 claim more data than the file holds
+        (rank,) = struct.unpack("<I", data[43:47])
+        data = data[:43] + struct.pack("<3I", 2, 2**32 - 1, 2**32 - 1) + data[47 + 4 * rank :]
+        zero_ckpt.write_bytes(data)
+        code, err = self.run(capsys, "eval", seq_dir, tmp_path, zero_ckpt)
+        assert code == 2
+        assert err == [f"error: {zero_ckpt}: truncated checkpoint"]
 
 
 class TestExportLogits:

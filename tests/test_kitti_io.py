@@ -128,8 +128,34 @@ class TestReadLabels:
     def test_bad_size(self, tmp_path):
         path = tmp_path / "x.label"
         path.write_bytes(b"\x00" * 6)
-        with pytest.raises(MalformedLabel):
+        message = f"{path}: size 6 is not a multiple of 4"
+        with pytest.raises(MalformedLabel, match=re.escape(message)):
             kio.read_labels(path, 1)
+
+    def test_result_owns_its_labels(self, tmp_path, rng):
+        path = tmp_path / "000002.label"
+        raw = rng.integers(0, 2**32, size=1000, dtype=np.uint32)
+        path.write_bytes(raw.astype("<u4").tobytes())
+        got = kio.read_labels(path, 1000)
+        assert got.flags.owndata and got.flags.writeable and got.flags.c_contiguous
+        assert got.dtype == np.uint32 and got.shape == (1000,)
+        np.testing.assert_array_equal(got, raw)
+
+    def test_short_read(self, tmp_path, monkeypatch):
+        # a file that shrinks between its size check and its read
+        path = tmp_path / "000006.label"
+        path.write_bytes(struct.pack("<2I", 252, 10))
+        fstat = kio.os.fstat
+        monkeypatch.setattr(
+            kio.os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 4)
+        )
+        with pytest.raises(MalformedLabel, match=re.escape(f"{path}: read 8 of 12 bytes")):
+            kio.read_labels(path, 3)
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "nope.label"
+        with pytest.raises(IoFailure, match=f"^{re.escape(f'cannot read labels {path}: ')}"):
+            kio.read_labels(path, 0)
 
     def test_bit_split(self, tmp_path):
         # the instance id in the high 16 bits is kept on read and ignored by
@@ -184,6 +210,17 @@ class TestRemap:
     def test_instance_bits_ignored(self):
         labels = np.array([0xABCD_00FC], dtype=np.uint32)
         assert kio.remap_labels(labels)[0] == 3
+
+    def test_raw_labels_invert_the_class_table(self):
+        classes = np.arange(kio.NUM_CLASSES)
+        raw = kio.classes_to_raw_labels(classes)
+        assert raw.dtype == np.uint32
+        np.testing.assert_array_equal(kio.remap_labels(raw), classes)
+
+    def test_raw_label_table_is_read_only(self):
+        assert not kio.RAW_LABEL.flags.writeable
+        with pytest.raises(ValueError):
+            kio.RAW_LABEL[0] = 1
 
     @given(st.integers(0, 2**16 - 1))
     @settings(max_examples=100, deadline=None)

@@ -1,3 +1,5 @@
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -496,6 +498,18 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(FormatError):
+            nnet.load_checkpoint(path)
+
+    def test_dims_past_the_file(self, tmp_path):
+        # 2**32 - 1 squared overflows int64; the count must still exceed the file
+        desc = b"student:in=2,base=2"
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(
+            nnet.CKPT_MAGIC + struct.pack("<HI", nnet.CKPT_VERSION, len(desc)) + desc
+            + struct.pack("<2I", 1, 1) + b"w" + struct.pack("<3I", 2, 2**32 - 1, 2**32 - 1)
+            + bytes(64)
+        )
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: truncated checkpoint$"):
             nnet.load_checkpoint(path)
 
     def test_trailing_garbage(self, tmp_path):
