@@ -3,9 +3,9 @@
 A scan is binned into an H x W polar grid (H radial rings, W angular
 sectors).  Each occupied cell of a frame carries the span max z - min z
 of its in-range points, and a temporal window pools its frames to their
-per-cell max; the residual between the two pooled images is replicated
-into the motion channels with opposite signs, so a cell occupied in
-exactly one window lights up positively on that window's channels.
+per-cell max.  The one motion channel is the residual I1 - I2 of the
+newer and the older pooled image, so a cell occupied in the newer window
+alone is positive and one occupied in the older window alone negative.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ class CellIndexMap:
 
 @dataclass(frozen=True)
 class MotionTensor:
-    """N motion channels: the newer window's carry I1 - I2, the older's I2 - I1."""
+    """The network input: one channel, the residual I1 - I2."""
 
-    channels: np.ndarray  # (N, H, W) float64
+    channels: np.ndarray  # (1, H, W) float64
 
 
 @dataclass(frozen=True)
@@ -149,19 +149,13 @@ def height_image(bounds: np.ndarray) -> np.ndarray:
     return values
 
 
-def motion_residuals(i1: np.ndarray, i2: np.ndarray, n1: int, n2: int) -> MotionTensor:
-    """Build the N = n1 + n2 motion channels from two pooled window images.
+def motion_residuals(i1: np.ndarray, i2: np.ndarray) -> MotionTensor:
+    """The motion channel I1 - I2 of two pooled window images.
 
     ``i1`` and ``i2`` are the newer and the older window's per-cell max
-    height span over their frames, 0 where no frame occupies the cell.  One
-    difference image I1 - I2 fills the newer window's n1 channels and its
-    negation the older window's n2.
+    height span over their frames, 0 where no frame occupies the cell.
     """
-    diff = i1 - i2
-    channels = np.empty((n1 + n2, *diff.shape))
-    channels[:n1] = diff
-    channels[n1:] = -diff
-    return MotionTensor(channels=channels)
+    return MotionTensor(channels=(i1 - i2)[np.newaxis])
 
 
 def cell_labels(

@@ -149,8 +149,7 @@ def cmd_project(args) -> int:
         _save_npy(out / "cell_valid" / f"{name}.npy", sample.labels.valid)
         if args.render:
             bev.write_pgm(sample.height, out / "render" / f"{name}_height.pgm")
-            for k, channel in enumerate(sample.motion.channels):
-                bev.write_pgm(channel, out / "render" / f"{name}_ch{k:02d}.pgm")
+            bev.write_pgm(sample.motion.channels[0], out / "render" / f"{name}_motion.pgm")
 
     n = len(pipeline.map_windows(clouds, classes, poses, cfg, save, args.threads))
     window, split = cfg.window()
@@ -158,7 +157,7 @@ def cmd_project(args) -> int:
         **dataclasses.asdict(cfg.bev_grid()),
         "window": window,
         "split": split,
-        "channels": pipeline.input_channels(cfg),
+        "channels": 1,
     }
     write_metrics(meta, out / "meta.txt")
     print(f"projected {n} frames to {out}")
@@ -211,7 +210,7 @@ def cmd_train(args) -> int:
         raise ConfigError(f"--teacher must be none, synth or a directory, got {args.teacher}")
     epochs = args.epochs if args.epochs is not None else cfg.get("train.epochs")
     net = nnet.build_network(pipeline.student_descriptor(cfg), seed=cfg.get("train.seed"))
-    pipeline.check_network(net, cfg)
+    pipeline.check_network(cfg)
     clouds, classes, poses = _load_labeled_sequence(args)
     read_teacher = None
     if args.teacher not in ("none", "synth"):
@@ -249,7 +248,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     net = nnet.load_checkpoint(args.ckpt)
-    pipeline.check_network(net, cfg, args.ckpt)
+    pipeline.check_network(cfg)
     clouds, classes, poses = _load_labeled_sequence(args)
     counts = pipeline.map_windows(
         clouds, classes, poses, cfg, lambda s: pipeline.frame_confusion(net, s), args.threads
@@ -265,7 +264,7 @@ def cmd_eval(args) -> int:
 def cmd_export_logits(args) -> int:
     cfg = _load_config(args)
     net = nnet.load_checkpoint(args.ckpt)
-    pipeline.check_network(net, cfg, args.ckpt)
+    pipeline.check_network(cfg)
     clouds, classes, poses = pipeline.load_sequence(args.seq)
     out = Path(args.out)
 
@@ -295,7 +294,7 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
     net = nnet.build_network(pipeline.student_descriptor(cfg), seed=cfg.get("train.seed"))
-    pipeline.check_network(net, cfg)
+    pipeline.check_network(cfg)
     clouds, classes, poses = pipeline.load_sequence(args.seq)
     idxs, build = pipeline.windows(clouds, classes, poses, cfg)
     proj_ms: list[float] = []

@@ -53,8 +53,9 @@ class Conv2d:
     zero tail of (k-1)//s elements.  Tap (di, dj) then reads one contiguous
     window of phase (di % s, dj % s) starting at ``(di//s)*wq + dj//s``,
     and the output is accumulated in padded-width layout ``(c_out, ho*wq)``
-    with one GEMM per tap; the ``wq - wo`` junk columns that close each
-    output row are dropped at the end.  Backward reads the same windows:
+    with one GEMM per tap (a broadcast product at one input channel); the
+    ``wq - wo`` junk columns that close each output row are dropped at the
+    end.  Backward reads the same windows:
     a tap's weight gradient is ``g @ window.T`` with ``g`` zero in the junk
     columns, and the input gradient is accumulated into phase buffers that
     are interleaved back.  Every GEMM operand is a view that BLAS reads in
@@ -116,8 +117,12 @@ class Conv2d:
         n = ho * wq
         y = np.empty((self.c_out, n), dtype=x.dtype)
         tmp = np.empty_like(y)
+        # one input channel makes each tap an outer product: numpy's matmul
+        # runs it several times slower than a broadcast multiply, which gives
+        # the same single products
+        tap = np.multiply if self.c_in == 1 else np.matmul
         for t, (di, dj, ph, off) in enumerate(self._taps(wq)):
-            np.matmul(wk[di, dj], buf[ph, :, off : off + n], out=tmp if t else y)
+            tap(wk[di, dj], buf[ph, :, off : off + n], out=tmp if t else y)
             if t:
                 y += tmp
         del tmp  # freed before the output is allocated, to lower the peak
@@ -424,28 +429,30 @@ class Network:
         return gout, grads
 
 
-def parse_descriptor(descriptor: str) -> tuple[str, int, int]:
-    """Parse ``student:in=8,base=16`` / ``teacher:in=8,base=32``."""
+def parse_descriptor(descriptor: str) -> tuple[str, int]:
+    """Parse ``student:base=16`` / ``teacher:base=32`` into the kind and the
+    base width.  Every network takes the one motion channel, so there is no
+    other field: any other form, ``in=`` included, is a FormatError."""
     try:
         kind, rest = descriptor.split(":", 1)
-        fields = dict(item.split("=") for item in rest.split(","))
-        c_in = int(fields["in"])
-        base = int(fields["base"])
-    except (ValueError, KeyError) as exc:
+        key, value = rest.split("=")
+        base = int(value)
+    except ValueError as exc:
         raise FormatError(f"bad architecture descriptor {descriptor!r}") from exc
-    if kind not in ("student", "teacher") or c_in < 1 or base < 1:
+    if kind not in ("student", "teacher") or key != "base" or base < 1:
         raise FormatError(f"bad architecture descriptor {descriptor!r}")
-    return kind, c_in, base
+    return kind, base
 
 
 def build_network(descriptor: str, seed: int = 0) -> Network:
     """Instantiate a network from its descriptor string.
 
-    The student encodes at three resolutions and upsamples back with two
-    dynamic-sampling stages; the teacher doubles every width and adds one
-    stride-1 encoder stage, giving it a genuine capacity margin.
+    Both take the one motion channel.  The student encodes at three
+    resolutions and upsamples back with two dynamic-sampling stages; the
+    teacher doubles every width and adds one stride-1 encoder stage, giving
+    it a genuine capacity margin.
     """
-    kind, c_in, b = parse_descriptor(descriptor)
+    kind, b = parse_descriptor(descriptor)
     rng = np.random.default_rng(seed)
     layers: list[tuple[str, object]] = []
 
@@ -454,7 +461,7 @@ def build_network(descriptor: str, seed: int = 0) -> Network:
         if name != "head":
             layers.append((name + "_relu", ReLU()))
 
-    conv("enc0", c_in, b)
+    conv("enc0", 1, b)
     if kind == "teacher":
         conv("enc0b", b, b)
     conv("enc1", b, 2 * b, s=2)
@@ -560,6 +567,9 @@ def load_checkpoint(path: str | Path) -> Network:
         params[name] = arr
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes")
-    net = build_network(descriptor)
-    net.load_parameters(params)
+    try:
+        net = build_network(descriptor)
+        net.load_parameters(params)
+    except (FormatError, ShapeMismatch) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     return net

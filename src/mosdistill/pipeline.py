@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bev, geometry, losses, metrics, nnet, teacher
 from .config import RunConfig
-from .errors import ConfigError, EmptyFrame, LengthMismatch, NonFiniteLoss, ShapeMismatch
+from .errors import ConfigError, EmptyFrame, LengthMismatch, NonFiniteLoss
 from .kitti_io import (
     CLASS_UNLABELED,
     NUM_CLASSES,
@@ -140,7 +140,7 @@ def build_sample(
             labels = bev.cell_labels(current_cells, classes[index], grid)
     return FrameSample(
         frame_id=clouds[index].frame_id,
-        motion=bev.motion_residuals(pooled[0], pooled[1], split, window - split),
+        motion=bev.motion_residuals(pooled[0], pooled[1]),
         labels=labels,
         cells=current_cells,
         point_classes=classes[index],
@@ -220,17 +220,12 @@ def attach_synth_teacher(
         )
 
 
-def input_channels(cfg: RunConfig) -> int:
-    """One motion channel per frame of the window."""
-    return cfg.get("bev.window")
-
-
 def student_descriptor(cfg: RunConfig) -> str:
-    return f"student:in={input_channels(cfg)},base={cfg.get('net.base_width')}"
+    return f"student:base={cfg.get('net.base_width')}"
 
 
 def teacher_descriptor(cfg: RunConfig) -> str:
-    return f"teacher:in={input_channels(cfg)},base={2 * cfg.get('net.base_width')}"
+    return f"teacher:base={2 * cfg.get('net.base_width')}"
 
 
 def _check_grid(h: int, w: int) -> None:
@@ -244,20 +239,11 @@ def _check_grid(h: int, w: int) -> None:
         )
 
 
-def check_network(net: nnet.Network, cfg: RunConfig, ckpt: str | Path | None = None) -> None:
-    """Check that ``net`` can run on the samples of ``cfg``, before any scan
-    is read: the grid rule of ``_check_grid``, and for a network loaded from
-    the checkpoint ``ckpt``, ShapeMismatch naming the file unless it takes
-    one input channel per frame of the window."""
+def check_network(cfg: RunConfig) -> None:
+    """Check, before any scan is read, that the networks can run on the
+    samples of ``cfg``: the grid rule of ``_check_grid``.  Every network
+    takes the one motion channel, so the window puts no rule on it."""
     _check_grid(cfg.get("bev.n_radial"), cfg.get("bev.n_angular"))
-    if ckpt is None:
-        return
-    _, c_in, _ = nnet.parse_descriptor(net.descriptor)
-    if c_in != input_channels(cfg):
-        raise ShapeMismatch(
-            f"{ckpt}: the network takes {c_in} input channels, but "
-            f"bev.window={cfg.values['bev.window']} gives {input_channels(cfg)}"
-        )
 
 
 def student_forward(
@@ -265,7 +251,7 @@ def student_forward(
 ) -> tuple[losses.LogitGrid, list]:
     """Run the network on one sample; validity follows the label grid.
 
-    The motion channels are cast to float32 once, so training and inference
+    The motion channel is cast to float32 once, so training and inference
     compute in float32; the scores upcast exactly into the float64 grid.
     ``train=True`` keeps the layer caches for ``backward``, ``train=False``
     keeps none.  A non-finite activation or logit raises NonFiniteLoss

@@ -185,7 +185,7 @@ def test_criterion_7_tckd_on_all_classes_not_better(benchmark_outcomes):
 
 def test_criterion_8_format_round_trips(tmp_path):
     # checkpoint: save -> load -> save is byte-identical
-    net = nnet.build_network("student:in=8,base=16", seed=9)
+    net = nnet.build_network("student:base=16", seed=9)
     ckpt = tmp_path / "net.ckpt"
     nnet.save_checkpoint(ckpt, net)
     first = ckpt.read_bytes()

@@ -29,7 +29,7 @@ def tree_bytes(root):
 @pytest.fixture
 def zero_ckpt(tmp_path):
     """Checkpoint of an untrained all-zero student for the tiny config."""
-    net = nnet.build_network("student:in=4,base=8", seed=0)
+    net = nnet.build_network("student:base=8", seed=0)
     for p in net.parameters().values():
         p[...] = 0.0
     path = tmp_path / "zero.ckpt"
@@ -38,10 +38,14 @@ def zero_ckpt(tmp_path):
 
 
 @pytest.fixture
-def window8_ckpt(tmp_path):
-    """Checkpoint of an untrained student for the tiny config at bev.window=8."""
-    path = tmp_path / "w8.ckpt"
-    nnet.save_checkpoint(path, nnet.build_network("student:in=8,base=8"))
+def old_ckpt(tmp_path):
+    """Checkpoint of an untrained student in the old eight-channel layout:
+    descriptor ``student:in=8,base=8`` and an enc0 that takes 8 channels."""
+    net = nnet.build_network("student:base=8")
+    net.descriptor = "student:in=8,base=8"
+    dict(net.layers)["enc0"].params["w"] = np.zeros((8, 8, 3, 3))
+    path = tmp_path / "in8.ckpt"
+    nnet.save_checkpoint(path, net)
     return path
 
 
@@ -108,17 +112,19 @@ class TestProject:
             worst = max(worst, float(np.abs(np.load(path)).max()))
         assert worst < 1e-5
 
-    def test_render_writes_one_image_per_channel(self, seq_dir, tmp_path):
+    def test_writes_one_motion_channel(self, seq_dir, tmp_path):
         out = tmp_path / "proj"
         code = main(
             ["project", "--seq", str(seq_dir), "--out", str(out), "--render", *tiny_cli_args()]
         )
         assert code == 0
-        first = sorted((out / "motion").glob("*.npy"))[0]
-        channels = np.load(first).shape[0]
-        stem = first.stem
-        renders = list((out / "render").glob(f"{stem}_ch*.pgm"))
-        assert len(renders) == channels
+        names = [f"{i:06d}" for i in range(3, 7)]
+        for name in names:
+            motion = np.load(out / "motion" / f"{name}.npy")
+            assert motion.shape == (1, 16, 36) and motion.dtype == np.float32
+        rendered = sorted(p.name for p in (out / "render").glob("*.pgm"))
+        assert rendered == sorted(f"{n}_{kind}.pgm" for n in names for kind in ("height", "motion"))
+        assert read_metrics(out / "meta.txt")["channels"] == "1"
 
     def test_corrupt_scan_exit_two(self, seq_dir, tmp_path):
         scan = sorted((seq_dir / "velodyne").glob("*.bin"))[0]
@@ -487,12 +493,10 @@ class TestBadConfigValue:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["eval", "export-logits"])
-    def test_checkpoint_of_another_window_exits_two(
-        self, tmp_path, window8_ckpt, capsys, command
-    ):
-        assert main([*command_argv(command, tmp_path, window8_ckpt), *tiny_cli_args()]) == 2
+    def test_old_multichannel_checkpoint_exits_two(self, tmp_path, old_ckpt, capsys, command):
+        assert main([*command_argv(command, tmp_path, old_ckpt), *tiny_cli_args()]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {window8_ckpt}: the network takes 8 input channels, but bev.window=4 gives 4"
+            f"error: {old_ckpt}: bad architecture descriptor 'student:in=8,base=8'"
         ]
         assert not (tmp_path / "out").exists()
 
@@ -558,11 +562,11 @@ class TestEvalCmd:
         assert float(report["point_iou_moving"]) == 0.0
         assert float(report["cell_iou_moving"]) == 0.0
 
-    def test_window_longer_than_sequence_exits_one(self, seq_dir, tmp_path, window8_ckpt):
+    def test_window_longer_than_sequence_exits_one(self, seq_dir, tmp_path, zero_ckpt):
         out = tmp_path / "metrics.txt"
         args = tiny_cli_args(["--set", "bev.window=8"])  # the tiny scene has 7 frames
         code = main(
-            ["eval", "--seq", str(seq_dir), "--ckpt", str(window8_ckpt),
+            ["eval", "--seq", str(seq_dir), "--ckpt", str(zero_ckpt),
              "--metrics-out", str(out), *args]
         )
         assert code == 1
@@ -719,13 +723,13 @@ class TestNonUtf8Bytes:
         assert err == ["error: bev.window must be an integer, got \ufffd"]
 
     @pytest.mark.parametrize(
-        "what, offset", [("descriptor", 10), ("parameter name", 37)], ids=["descriptor", "name"]
+        "what, offset", [("descriptor", 10), ("parameter name", 32)], ids=["descriptor", "name"]
     )
     def test_checkpoint_exit_two(self, seq_dir, tmp_path, zero_ckpt, capsys, what, offset):
         data = bytearray(zero_ckpt.read_bytes())
         # magic, version and length take 10 bytes; after the descriptor, the
         # parameter count and the first name's length take 8
-        assert data[10:29] == b"student:in=4,base=8" and data[33] == 6
+        assert data[10:24] == b"student:base=8" and data[28] == 6
         data[offset] = 0xFF
         zero_ckpt.write_bytes(bytes(data))
         code, err = self.run(capsys, "eval", seq_dir, tmp_path, zero_ckpt)
@@ -734,10 +738,10 @@ class TestNonUtf8Bytes:
 
     def test_checkpoint_dims_past_the_file_exit_two(self, seq_dir, tmp_path, zero_ckpt, capsys):
         data = zero_ckpt.read_bytes()
-        # the first parameter's rank sits after its 6-byte name, at byte 43;
+        # the first parameter's rank sits after its 6-byte name, at byte 38;
         # dims whose product overflows int64 claim more data than the file holds
-        (rank,) = struct.unpack("<I", data[43:47])
-        data = data[:43] + struct.pack("<3I", 2, 2**32 - 1, 2**32 - 1) + data[47 + 4 * rank :]
+        (rank,) = struct.unpack("<I", data[38:42])
+        data = data[:38] + struct.pack("<3I", 2, 2**32 - 1, 2**32 - 1) + data[42 + 4 * rank :]
         zero_ckpt.write_bytes(data)
         code, err = self.run(capsys, "eval", seq_dir, tmp_path, zero_ckpt)
         assert code == 2
@@ -787,7 +791,7 @@ class TestExportLogits:
         self, seq_dir, tmp_path, capsys, monkeypatch
     ):
         teacher_ckpt = tmp_path / "teacher.ckpt"
-        nnet.save_checkpoint(teacher_ckpt, nnet.build_network("teacher:in=4,base=16"))
+        nnet.save_checkpoint(teacher_ckpt, nnet.build_network("teacher:base=16"))
         out = tmp_path / "logits40"
         args = ["--ckpt", str(teacher_ckpt), "--seq", str(seq_dir), "--out", str(out)]
         other_geometry = tiny_cli_args(["--set", "bev.n_angular=40"])
@@ -822,7 +826,7 @@ class TestExportLogits:
         self, seq_dir, tmp_path, tiny_config
     ):
         teacher_ckpt = tmp_path / "teacher.ckpt"
-        nnet.save_checkpoint(teacher_ckpt, nnet.build_network("teacher:in=4,base=16", seed=3))
+        nnet.save_checkpoint(teacher_ckpt, nnet.build_network("teacher:base=16", seed=3))
         trees = []
         for threads in (1, 2, 3, 4):
             out = tmp_path / f"logits{threads}"
@@ -846,12 +850,12 @@ class TestExportLogits:
             np.testing.assert_array_equal(exported.valid, grid.valid)
 
     def test_window_longer_than_sequence_exits_one(
-        self, seq_dir, tmp_path, window8_ckpt, capsys
+        self, seq_dir, tmp_path, zero_ckpt, capsys
     ):
         out = tmp_path / "logits"
         args = tiny_cli_args(["--set", "bev.window=8"])  # the tiny scene has 7 frames
         code = main(
-            ["export-logits", "--ckpt", str(window8_ckpt), "--seq", str(seq_dir),
+            ["export-logits", "--ckpt", str(zero_ckpt), "--seq", str(seq_dir),
              "--out", str(out), "--threads", "2", *args]
         )
         assert code == 1
@@ -859,7 +863,7 @@ class TestExportLogits:
         assert not out.exists()
 
     def test_non_finite_teacher_exits_three_naming_frame(self, seq_dir, tmp_path, capsys):
-        net = nnet.build_network("teacher:in=4,base=16", seed=3)
+        net = nnet.build_network("teacher:base=16", seed=3)
         net.parameters()["head.b"][1] = np.nan
         nan_ckpt = tmp_path / "nan.ckpt"
         nnet.save_checkpoint(nan_ckpt, net)
@@ -876,7 +880,7 @@ class TestExportLogits:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_nan_activations_exit_three_naming_frame(self, seq_dir, tmp_path, capsys, threads):
         # a NaN bias reaches the upsamplers' sampling positions before the logits
-        net = nnet.build_network("teacher:in=4,base=16", seed=3)
+        net = nnet.build_network("teacher:base=16", seed=3)
         net.parameters()["enc0.b"][0] = np.nan
         nan_ckpt = tmp_path / "nan.ckpt"
         nnet.save_checkpoint(nan_ckpt, net)
@@ -931,7 +935,7 @@ class TestUnlabeledSequence:
     def test_export_matches_the_labeled_bytes(self, seq_dir, unlabeled, tmp_path):
         # the validity mask depends on occupancy alone
         teacher_ckpt = tmp_path / "teacher.ckpt"
-        nnet.save_checkpoint(teacher_ckpt, nnet.build_network("teacher:in=4,base=16", seed=3))
+        nnet.save_checkpoint(teacher_ckpt, nnet.build_network("teacher:base=16", seed=3))
         trees = []
         for name, seq in (("labeled", seq_dir), ("unlabeled", unlabeled)):
             out = tmp_path / f"logits-{name}"

@@ -31,7 +31,7 @@ WRITERS = {
     "calib": lambda path: kitti_io.write_calib(CALIB, path),
     "logits": lambda path: teacher.write_logits(GRID, path),
     "checkpoint": lambda path: nnet.save_checkpoint(
-        path, nnet.build_network("student:in=4,base=8", seed=0)
+        path, nnet.build_network("student:base=8", seed=0)
     ),
     "metrics": lambda path: metrics.write_metrics({"moving_iou": 0.5}, path),
     "render": lambda path: bev.write_pgm(np.zeros((2, 3)), path),

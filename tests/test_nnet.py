@@ -223,29 +223,29 @@ class TestDySample:
 
 class TestNetwork:
     def test_student_shapes(self, rng):
-        net = nnet.build_network("student:in=4,base=8", seed=0)
-        x = rng.normal(size=(4, 16, 36))
+        net = nnet.build_network("student:base=8", seed=0)
+        x = rng.normal(size=(1, 16, 36))
         y, _ = net.forward(x)
         assert y.shape == (4, 16, 36)
 
     def test_zero_weights_give_uniform_logits(self, rng):
-        net = nnet.build_network("student:in=4,base=8", seed=0)
+        net = nnet.build_network("student:base=8", seed=0)
         for p in net.parameters().values():
             p[...] = 0.0
-        y, _ = net.forward(rng.normal(size=(4, 16, 36)))
+        y, _ = net.forward(rng.normal(size=(1, 16, 36)))
         assert (y == 0.0).all()  # softmax of zeros is uniform
 
     def test_deterministic_per_seed(self, rng):
-        x = rng.normal(size=(4, 8, 8))
-        a, _ = nnet.build_network("student:in=4,base=8", seed=7).forward(x)
-        b, _ = nnet.build_network("student:in=4,base=8", seed=7).forward(x)
+        x = rng.normal(size=(1, 8, 8))
+        a, _ = nnet.build_network("student:base=8", seed=7).forward(x)
+        b, _ = nnet.build_network("student:base=8", seed=7).forward(x)
         np.testing.assert_array_equal(a, b)
-        c, _ = nnet.build_network("student:in=4,base=8", seed=8).forward(x)
+        c, _ = nnet.build_network("student:base=8", seed=8).forward(x)
         assert not np.array_equal(a, c)
 
     def test_student_smaller_than_teacher(self):
-        student = nnet.build_network("student:in=8,base=16")
-        teach = nnet.build_network("teacher:in=8,base=32")
+        student = nnet.build_network("student:base=16")
+        teach = nnet.build_network("teacher:base=32")
         def size(net):
             return sum(p.size for p in net.parameters().values())
 
@@ -254,8 +254,8 @@ class TestNetwork:
     def test_full_backward_finite_difference(self, rng):
         # end-to-end chain rule on a tiny net; draws avoid dead relus by
         # checking magnitudes of the pre-activations
-        net = nnet.build_network("student:in=2,base=2", seed=3)
-        x = rng.normal(size=(2, 4, 4))
+        net = nnet.build_network("student:base=2", seed=3)
+        x = rng.normal(size=(1, 4, 4))
         r = rng.normal(size=(4, 4, 4))
 
         def value():
@@ -269,15 +269,15 @@ class TestNetwork:
             assert grad_error(pgrads[name], finite_difference(value, arr)) < 1e-4
 
     def test_backward_consumes_the_caches(self, rng):
-        net = nnet.build_network("student:in=2,base=2", seed=3)
-        _, caches = net.forward(rng.normal(size=(2, 4, 4)))
+        net = nnet.build_network("student:base=2", seed=3)
+        _, caches = net.forward(rng.normal(size=(1, 4, 4)))
         assert len(caches) == len(net.layers)
         net.backward(rng.normal(size=(4, 4, 4)), caches)
         assert caches == []
 
     def test_inference_forward_is_bit_equal_and_cache_free(self, rng):
-        net = nnet.build_network("teacher:in=4,base=8", seed=5)
-        x = rng.normal(size=(4, 16, 36))
+        net = nnet.build_network("teacher:base=8", seed=5)
+        x = rng.normal(size=(1, 16, 36))
         y_train, caches = net.forward(x)
         y_infer, no_caches = net.forward(x, train=False)
         assert len(caches) == len(net.layers)
@@ -287,8 +287,8 @@ class TestNetwork:
     def test_inference_forward_peak_memory(self, rng):
         # tracemalloc counts numpy's allocations exactly, so the ratio of
         # the two peaks is a property of the code, not of the machine
-        net = nnet.build_network("teacher:in=8,base=32", seed=0)
-        x = rng.normal(size=(8, 16, 180))
+        net = nnet.build_network("teacher:base=32", seed=0)
+        x = rng.normal(size=(1, 16, 180))
         peaks = {}
         for train in (True, False):
             tracemalloc.start()
@@ -301,7 +301,7 @@ class TestNetwork:
 
     def test_bad_descriptor(self):
         with pytest.raises(FormatError):
-            nnet.build_network("resnet:in=8")
+            nnet.build_network("resnet:base=8")
 
 
 def _dysample_with_offsets(rng, c=3, scale=2):
@@ -356,11 +356,11 @@ class TestFloat32Forward:
             np.testing.assert_allclose(g32, grads64[name], rtol=0, atol=1e-5, err_msg=name)
 
     def test_network_backward_returns_float64_parameter_gradients(self, rng):
-        net = nnet.build_network("student:in=4,base=8", seed=5)
+        net = nnet.build_network("student:base=8", seed=5)
         for name, p in net.parameters().items():
             if name.endswith("linear_w"):
                 p[...] = rng.normal(0.0, 0.1, size=p.shape)
-        x = rng.normal(size=(4, 16, 36))
+        x = rng.normal(size=(1, 16, 36))
         y64, caches64 = net.forward(x)
         g = rng.normal(size=y64.shape)
         _, grads64 = net.backward(g, caches64)
@@ -397,11 +397,11 @@ class TestFloat32Forward:
             assert states[-1].velocity[name].dtype == np.float64, name
 
     def test_teacher_forward_is_float32(self, rng):
-        net = nnet.build_network("teacher:in=4,base=8", seed=5)
+        net = nnet.build_network("teacher:base=8", seed=5)
         for name, p in net.parameters().items():
             if name.endswith("linear_w"):  # nonzero offsets in both upsamplers
                 p[...] = rng.normal(0.0, 0.1, size=p.shape)
-        x = rng.normal(size=(4, 16, 36))
+        x = rng.normal(size=(1, 16, 36))
         y64, _ = net.forward(x, train=False)
         y32, _ = net.forward(x.astype(np.float32), train=False)
         assert y32.dtype == np.float32
@@ -409,8 +409,8 @@ class TestFloat32Forward:
 
     def test_float32_peak_memory(self, rng):
         # the float32 forward's activations are half as wide
-        net = nnet.build_network("teacher:in=8,base=32", seed=0)
-        x64 = rng.normal(size=(8, 16, 180))
+        net = nnet.build_network("teacher:base=32", seed=0)
+        x64 = rng.normal(size=(1, 16, 180))
         x32 = x64.astype(np.float32)
         peaks = {}
         for x in (x64, x32):
@@ -466,7 +466,7 @@ class TestSgd:
 
 class TestCheckpoint:
     def test_round_trip_bytes(self, tmp_path, rng):
-        net = nnet.build_network("student:in=4,base=8", seed=5)
+        net = nnet.build_network("student:base=8", seed=5)
         path = tmp_path / "net.ckpt"
         nnet.save_checkpoint(path, net)
         first = path.read_bytes()
@@ -476,7 +476,7 @@ class TestCheckpoint:
         assert path.read_bytes() == first
 
     def test_values_are_float32_exact(self, tmp_path):
-        net = nnet.build_network("student:in=4,base=8", seed=5)
+        net = nnet.build_network("student:base=8", seed=5)
         path = tmp_path / "net.ckpt"
         nnet.save_checkpoint(path, net)
         loaded = nnet.load_checkpoint(path)
@@ -492,7 +492,7 @@ class TestCheckpoint:
             nnet.load_checkpoint(path)
 
     def test_truncated(self, tmp_path):
-        net = nnet.build_network("student:in=2,base=2", seed=0)
+        net = nnet.build_network("student:base=2", seed=0)
         path = tmp_path / "net.ckpt"
         nnet.save_checkpoint(path, net)
         data = path.read_bytes()
@@ -502,7 +502,7 @@ class TestCheckpoint:
 
     def test_dims_past_the_file(self, tmp_path):
         # 2**32 - 1 squared overflows int64; the count must still exceed the file
-        desc = b"student:in=2,base=2"
+        desc = b"student:base=2"
         path = tmp_path / "net.ckpt"
         path.write_bytes(
             nnet.CKPT_MAGIC + struct.pack("<HI", nnet.CKPT_VERSION, len(desc)) + desc
@@ -512,8 +512,26 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: truncated checkpoint$"):
             nnet.load_checkpoint(path)
 
+    def test_old_multichannel_descriptor_names_the_file(self, tmp_path):
+        net = nnet.build_network("student:base=2", seed=0)
+        net.descriptor = "student:in=8,base=2"
+        path = tmp_path / "net.ckpt"
+        nnet.save_checkpoint(path, net)
+        message = f"{path}: bad architecture descriptor 'student:in=8,base=2'"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            nnet.load_checkpoint(path)
+
+    def test_parameter_shape_mismatch_names_the_file(self, tmp_path):
+        net = nnet.build_network("student:base=2", seed=0)
+        dict(net.layers)["enc0"].params["w"] = np.zeros((2, 8, 3, 3))
+        path = tmp_path / "net.ckpt"
+        nnet.save_checkpoint(path, net)
+        message = f"{path}: bad shape for parameter enc0.w"
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+            nnet.load_checkpoint(path)
+
     def test_trailing_garbage(self, tmp_path):
-        net = nnet.build_network("student:in=2,base=2", seed=0)
+        net = nnet.build_network("student:base=2", seed=0)
         path = tmp_path / "net.ckpt"
         nnet.save_checkpoint(path, net)
         path.write_bytes(path.read_bytes() + b"\x00")

@@ -81,13 +81,10 @@ class TestBuildSamples:
     def test_motion_tensor_shape(self, loaded, tiny_config):
         clouds, classes, poses = loaded
         samples = pipeline.build_samples(clouds, classes, poses, tiny_config)
-        window, split = tiny_config.window()
         grid = tiny_config.bev_grid()
         for s in samples:
-            assert s.motion.channels.shape == (window, *grid.shape)
-            # the newer window's channels carry I1 - I2, the older's I2 - I1
-            assert (s.motion.channels[:split] == -s.motion.channels[split]).all()
-            assert (s.motion.channels[split:] == s.motion.channels[split]).all()
+            assert s.motion.channels.shape == (1, *grid.shape)
+            assert s.motion.channels.dtype == np.float64
 
     def test_threads_do_not_change_results(self, loaded, tiny_config):
         clouds, classes, poses = loaded
@@ -159,7 +156,7 @@ class TestEvaluate:
         assert float(report["moving_iou"]) > 0.6
 
     def test_no_samples_scores_every_absent_class_one(self):
-        net = nnet.build_network("student:in=4,base=8", seed=0)
+        net = nnet.build_network("student:base=8", seed=0)
         zero_row = "0 0 0 0"
         expected = {"absent_class_iou": 1.0, "moving_iou": 1.0}
         for level in ("cell", "point"):
@@ -181,8 +178,8 @@ class TestEvaluate:
         assert pipeline.split_train_heldout([], 0.5) == ([], [])
 
     def test_descriptors(self, tiny_config):
-        assert pipeline.student_descriptor(tiny_config) == "student:in=4,base=8"
-        assert pipeline.teacher_descriptor(tiny_config) == "teacher:in=4,base=16"
+        assert pipeline.student_descriptor(tiny_config) == "student:base=8"
+        assert pipeline.teacher_descriptor(tiny_config) == "teacher:base=16"
 
 
 class TestPredictLogits:
@@ -351,7 +348,7 @@ def tilted_pose(rng):
 
 
 def whole_frame_oracle(clouds, poses, grid, split):
-    """Current cells, current height image and motion channels of the window
+    """Current cells, current height image and motion channel of the window
     ending at the last frame, from the whole frames that align_to_current
     gives and the per-point and per-cell loop oracles."""
     aligned = geometry.align_to_current(clouds, poses, len(clouds) - 1)
@@ -362,15 +359,15 @@ def whole_frame_oracle(clouds, poses, grid, split):
         occupied.flat[flat[flat >= 0]] = True
         frames.append((height_oracle(cloud, grid), occupied))
     diff = window_pool_oracle(frames[:split]) - window_pool_oracle(frames[split:])
-    motion = np.array([diff] * split + [-diff] * (len(frames) - split))
-    return flats[0], frames[0][0], motion
+    return flats[0], frames[0][0], diff
 
 
 def assert_matches_whole_frames(sample, clouds, poses, grid, split):
-    cells, height, motion = whole_frame_oracle(clouds, poses, grid, split)
+    cells, height, diff = whole_frame_oracle(clouds, poses, grid, split)
     np.testing.assert_array_equal(sample.cells.flat, cells)
     np.testing.assert_array_equal(sample.height, height)
-    np.testing.assert_array_equal(sample.motion.channels, motion)
+    assert sample.motion.channels.shape == (1, *grid.shape)
+    np.testing.assert_array_equal(sample.motion.channels[0], diff)
 
 
 def sized_frame(n, rng, frame_id):
@@ -420,7 +417,6 @@ class TestDegenerateWindows:
             )
             source = clouds[window - 1 - steps_back]
             np.testing.assert_array_equal(cloud.points[:, 3], source.points[:, 3])
-        assert sample.motion.channels.shape == (window, *grid.shape)
         assert np.isfinite(sample.motion.channels).all()
         if kinds[-1] in ("empty", "out_of_range"):
             assert not sample.cells.assigned.any()
